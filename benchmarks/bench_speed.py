@@ -21,10 +21,11 @@ the optimised results are bit-identical to the reference paths:
   expands the verdicts back, so the reports must stay field-for-field
   identical while the wall clock drops multiplicatively on top of
   dropping/superposition;
-* **pool-reuse**: a sweep of repeated campaigns -- fresh chunk-steal
-  worker processes forked per campaign versus one persistent
-  ``CampaignPool`` whose workers keep the controller compiled and its
-  campaign state cached across campaigns;
+* **pool-reuse**: a sweep of repeated campaigns -- a short-lived pool
+  per ``workers=N`` campaign (fresh workers forked holding that one
+  controller) versus one persistent ``CampaignPool`` whose workers keep
+  every controller compiled and its campaign state cached across
+  campaigns;
 * **synthesis_table1**: the Table-1 depth-first OSTR sweep --
   ``search_ostr`` on the label-tuple reference engine versus the
   bitset-native engine (identical solutions and search statistics);
@@ -212,12 +213,13 @@ def bench_collapse(name: str) -> dict:
 
 
 def bench_pool_reuse(names, workers: int, rounds: int = 2, pipelines: bool = True) -> dict:
-    """Campaign sweep: fresh workers per campaign vs one persistent pool.
+    """Campaign sweep: a short-lived pool per campaign vs one persistent pool.
 
     The Table-style shape the pool exists for: many campaigns over many
-    controllers, repeated.  The baseline forks a fresh set of chunk-steal
-    workers for every campaign (each rebuilding reference signatures and
-    screening bundles); the pool keeps the workers -- and their
+    controllers, repeated.  The baseline runs every campaign with
+    ``workers=N``, which forks a fresh short-lived pool per campaign
+    (each worker rebuilding reference signatures and screening bundles);
+    the persistent pool keeps the workers -- and their
     per-controller subject/state caches -- alive across the whole sweep,
     so every repeated campaign is a cache hit.
     """

@@ -719,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="fan the fault universe out over N chunk-stealing processes",
+        help="fan the fault universe out over a pool of N chunk-stealing "
+        "processes, opened for each campaign",
     )
     coverage.add_argument(
         "--chunk-size",
@@ -793,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--degrade",
         action="store_true",
         help="on an exhausted retry budget, fall back down the "
-        "pool -> workers -> serial -> interpreted ladder instead of failing",
+        "pool -> serial -> interpreted ladder instead of failing",
     )
     coverage.add_argument(
         "--engine",
@@ -843,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--workers", type=int, default=0,
-        help="chunk-stealing campaign workers (wall-clock only; the "
-        "metrics ledger is scheduler-independent)",
+        help="per-campaign pool of chunk-stealing workers (wall-clock "
+        "only; the metrics ledger is scheduler-independent)",
     )
     sweep.add_argument(
         "--pool", type=int, default=0, metavar="N",

@@ -1,8 +1,9 @@
 """Chaos injection for the fault-simulation runtime itself.
 
-The engine and pool schedulers of :mod:`repro.faults.engine` and
-:mod:`repro.faults.pool` promise bit-identical :class:`CoverageReport`
-objects *through* worker crashes, hangs and broken pipes -- promises that
+The campaign pool (:mod:`repro.faults.pool`, behind every multi-process
+campaign of :mod:`repro.faults.engine`) promises bit-identical
+:class:`CoverageReport` objects *through* worker crashes, hangs and
+broken pipes -- promises that
 are worthless unless those paths are exercised on purpose.  This module is
 the fault model for the test infrastructure: small, deterministic
 injection plans that the worker processes consult at well-defined hook
@@ -113,7 +114,7 @@ _KINDS = (
     "torn_tail",
     "http_stall",
 )
-_TARGETS = ("pool", "engine", "service", "any")
+_TARGETS = ("pool", "service", "any")
 
 #: environment variable carrying the serving process's spawn generation
 #: (0 = first boot, bumped by whoever restarts it); the same convergence
@@ -130,9 +131,11 @@ class ChaosEvent:
     for the chunk-scoped kinds, subject unpickles for ``poison_pickle``),
     0-based; the event fires at the first opportunity whose counter is
     ``>= on_chunk``.  ``worker`` restricts the event to one worker index
-    (``None`` = every worker).  ``target`` selects which scheduler the
-    event arms in: persistent-pool workers (``"pool"``), one-shot engine
-    workers (``"engine"``), or both (``"any"``).
+    (``None`` = every worker).  ``target`` selects where the event arms:
+    campaign-pool workers (``"pool"`` -- persistent pools and the
+    short-lived pool of a ``workers=N`` campaign alike), the serving
+    process of the campaign service (``"service"``), or both
+    (``"any"``).
     """
 
     kind: str
@@ -244,8 +247,8 @@ class ChaosState:
 
     Built once at worker (or server) startup from the explicit plan
     (shipped through the spawn args) or the environment.  ``scope`` names
-    the runtime the state arms in (``"pool"``, ``"engine"`` or
-    ``"service"``); ``generation`` is the spawn generation for the
+    the runtime the state arms in (``"pool"`` or ``"service"``);
+    ``generation`` is the spawn generation for the
     convergence gate described in the module docstring.
 
     Worker processes consult their state single-threaded; the service

@@ -92,7 +92,8 @@ def measure_coverage(
 
     With the default ``workers=0, dropping=False`` this is the serial
     reference oracle: one full self-test per fault, final signature tuples
-    compared.  ``workers=N`` fans the fault universe out over ``N``
+    compared.  ``workers=N`` fans the fault universe out over a
+    short-lived :class:`~repro.faults.pool.CampaignPool` of ``N``
     chunk-stealing processes and ``dropping=True`` enables the exact
     fault-dropping fast paths (including lane-superposed fallback
     sessions; ``superpose=False`` keeps the per-fault serial replays) --
@@ -124,8 +125,8 @@ def measure_coverage(
     engine module docstring): ``timeout`` arms the no-progress watchdog,
     ``retries`` bounds crash/hang re-dispatches, ``checkpoint`` names a
     crash-safe snapshot file for bit-identical resume, and
-    ``degrade=True`` walks the pool -> workers -> serial -> interpreted
-    fallback ladder instead of raising on an exhausted budget.
+    ``degrade=True`` walks the pool -> serial -> interpreted fallback
+    ladder instead of raising on an exhausted budget.
 
     Extra keyword options (e.g. ``lambda_session=False`` for the strictly
     two-session pipeline flow) are forwarded to the controller's

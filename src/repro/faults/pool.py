@@ -1,13 +1,13 @@
-"""Persistent campaign worker pools.
+"""Campaign worker pools: the one multi-process campaign scheduler.
 
-The chunk-steal scheduler of :mod:`repro.faults.engine` forks a fresh set
-of worker processes for every campaign, and each worker rebuilds its
-campaign state (compiled netlist kernels, reference signatures, screening
-bundles, packed pattern streams) from scratch.  For one big campaign that
-amortises fine; for Table-style sweeps -- many campaigns over many
-machines (:mod:`repro.experiments`, the benchmark harness) -- the
-per-campaign fork + rebuild cost dominates.  A :class:`CampaignPool` keeps
-the workers alive instead:
+Every multi-process fault-simulation campaign runs on a
+:class:`CampaignPool`.  :func:`repro.faults.engine.run_campaign` opens a
+short-lived pool for a ``workers=N`` campaign; Table-style sweeps -- many
+campaigns over many machines (:mod:`repro.experiments`, ``repro sweep
+--pool``, the campaign service) -- keep one pool alive across campaigns,
+so they stop paying a fork + state rebuild (compiled netlist kernels,
+reference signatures, screening bundles, packed pattern streams) per
+campaign:
 
 * **Long-lived workers.**  ``workers`` processes are spawned once,
   inheriting the shared scheduling state (next-chunk counter, per-fault
@@ -23,11 +23,15 @@ the workers alive instead:
   worker keeps the unpickled subject -- with its lazily compiled netlist
   kernels -- plus the per-(subject, session-parameters) campaign state
   across jobs.  Repeated campaigns therefore skip fork, unpickle,
-  recompile *and* reference-signature rebuild.
-* **Chunk stealing, deterministic merge.**  Within a job, workers steal
-  index chunks from the shared counter exactly like the one-shot engine
-  scheduler; the parent reads the outcome flags back index-ordered, so
-  reports are bit-identical to the serial oracle regardless of schedule.
+  recompile *and* reference-signature rebuild.  The short-lived pool of
+  a ``workers=N`` campaign spawns its workers already holding the
+  controller and its fault schedule (process arguments: under ``fork``
+  nothing is pickled and the compiled kernels are inherited).
+* **Chunk stealing, deterministic merge.**  Within a job, idle workers
+  steal the next index chunk from the shared counter the moment they
+  finish one, so the tail stays balanced; the parent reads the outcome
+  flags back index-ordered, so reports are bit-identical to the serial
+  oracle regardless of schedule.
   The shared outcome array has a fixed ``capacity``; larger fault
   universes are processed in capacity-sized slabs, merged in order.
   Workers skip entries whose outcome flag is already resolved, which is
@@ -64,6 +68,7 @@ accumulated in :attr:`CampaignPool.stats`.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import pickle
@@ -74,6 +79,7 @@ from collections import OrderedDict
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..backoff import capped_backoff
 from ..exceptions import (
     JobTimeout,
     PoolClosed,
@@ -106,9 +112,6 @@ def subject_digest(payload: bytes) -> str:
 #: job ``timeout`` takes precedence when shorter.
 _CRASH_GRACE = 10.0
 
-#: ceiling on one exponential-backoff sleep between re-dispatch attempts.
-_BACKOFF_CAP = 2.0
-
 #: per-worker bound on cached subjects.  The parent tracks each worker's
 #: cache contents, evicts least-recently-used subjects (and their session
 #: states) via the job protocol, and re-ships payloads on demand, so a
@@ -125,11 +128,12 @@ _PROGRESS_INTERVAL = 0.5
 # ---------------------------------------------------------------------------
 
 
-def _job_universe(job: Dict[str, object], subject) -> List:
-    """This slab's fault slice, recomputed or shipped.
+def _job_universe(job: Dict[str, object], subject, states: Dict) -> List:
+    """This slab's fault slice: shipped, preloaded or recomputed.
 
-    Explicit fault lists travel in the job; the default universe is
-    recomputed from the cached subject (``fault_universe()`` /
+    Explicit fault lists travel in the job; a worker spawned holding its
+    campaign's schedule (see :class:`CampaignPool`) slices that; otherwise
+    the default universe is recomputed from the cached subject (``fault_universe()`` /
     :func:`all_faults` are deterministic), which keeps repeat jobs free of
     per-campaign pickling.  Collapsed jobs recompute the representative
     sequence the same way -- class ids are deterministic in the canonical
@@ -139,11 +143,14 @@ def _job_universe(job: Dict[str, object], subject) -> List:
     """
     if job["faults"] is not None:
         return job["faults"]
+    collapse = job.get("collapse", "none")
+    preloaded = states.get((job["key"], ("schedule", job["kind"], collapse)))
+    if preloaded is not None:
+        return preloaded[job["offset"] : job["offset"] + job["count"]]
     if job["kind"] == "campaign":
         universe = subject.fault_universe()
     else:
         universe = all_faults(subject)
-    collapse = job.get("collapse", "none")
     if collapse != "none":
         if job["kind"] == "campaign":
             fault_map = FaultMap.for_controller(
@@ -252,7 +259,7 @@ def _worker_run_job(
 ) -> bool:
     """Chunk-steal loop of one job against a resolved, cached subject."""
     state = _worker_state(job, subject, states)
-    universe = _job_universe(job, subject)
+    universe = _job_universe(job, subject, states)
     total = len(universe)
     chunk_size = job["chunk_size"]
     if job["kind"] == "campaign":
@@ -310,6 +317,7 @@ def _pool_worker(
     steal_counts,
     chaos_plan,
     generation,
+    preload=None,
 ):
     """Worker main loop: serve jobs until shutdown or parent exit.
 
@@ -318,10 +326,21 @@ def _pool_worker(
     process, and the parent detects that through the pipe.  ``generation``
     counts how many times this worker slot has been (re)spawned; chaos
     events use it to disarm after the first generation (see
-    :mod:`repro.faults.chaos`).
+    :mod:`repro.faults.chaos`).  ``preload`` is a ``(key, subject,
+    collapse, schedule)`` tuple: the worker starts out holding the subject
+    and that campaign's fault schedule.
     """
+    # Everything inherited from the parent is long-lived here: freezing it
+    # keeps the worker's full collections from walking (and, under fork,
+    # copy-on-write touching) the parent's whole heap -- a 0.3 s pause
+    # per worker measured on an s1 campaign.
+    gc.freeze()
     subjects: Dict = {}
     states: Dict = {}
+    if preload is not None:
+        key, subject, collapse, schedule = preload
+        subjects[key] = subject
+        states[(key, ("schedule", "campaign", collapse))] = schedule
     chaos = ChaosState(chaos_plan, "pool", worker_index, generation)
     while True:
         try:
@@ -382,7 +401,8 @@ class CampaignPool:
         :exc:`ResilienceError`) propagates.
     ``backoff``
         base of the bounded exponential backoff slept between attempts
-        (``backoff * 2**(attempt-1)``, capped at 2 s).
+        (:func:`~repro.backoff.capped_backoff`: ``backoff * 2**(attempt-1)``,
+        capped at 2 s).
     ``chaos``
         a :class:`~repro.faults.chaos.ChaosPlan` injected into the
         workers (tests); the :data:`~repro.faults.chaos.CHAOS_ENV`
@@ -398,6 +418,7 @@ class CampaignPool:
         retries: int = 2,
         backoff: float = 0.05,
         chaos: Optional[ChaosPlan] = None,
+        _campaign: Optional[tuple] = None,
     ) -> None:
         if workers < 1:
             raise ReproError(f"pool needs >= 1 worker, got {workers}")
@@ -458,6 +479,12 @@ class CampaignPool:
         #: counts summed over slabs and attempts, reuse hits, plus the
         #: job's retry/timeout/re-dispatch counters).
         self.last_job: Dict[str, object] = {}
+        #: ``(key, controller, collapse, schedule)`` every worker is spawned
+        #: holding: set only by ``run_campaign`` for a ``workers=N`` pool,
+        #: whose workers then neither unpickle nor recompute anything.
+        self._preload: Optional[tuple] = None
+        if _campaign is not None:
+            self._preload = (self._subject_payload(_campaign[0])[1], *_campaign)
         for index in range(workers):
             self._spawn(index)
 
@@ -475,6 +502,7 @@ class CampaignPool:
                 self._steal_counts,
                 self._chaos,
                 self._generations[index],
+                self._preload,
             ),
             daemon=True,
         )
@@ -483,6 +511,8 @@ class CampaignPool:
         self._generations[index] += 1
         self._members[index] = (process, parent_end)
         self._worker_cache[index] = OrderedDict()
+        if self._preload is not None:
+            self._worker_cache[index][self._preload[0]] = set()
         self._pending_evict[index] = []
 
     def _heal(self) -> None:
@@ -578,6 +608,19 @@ class CampaignPool:
             pass
 
     # -- job execution -------------------------------------------------------
+
+    def _subject_payload(self, subject) -> tuple:
+        """``(pickled bytes, digest)`` of a subject, memoised per object."""
+        try:
+            return self._payloads[subject]
+        except (KeyError, TypeError):
+            payload = pickle.dumps(subject, protocol=pickle.HIGHEST_PROTOCOL)
+            entry = (payload, subject_digest(payload))
+            try:
+                self._payloads[subject] = entry
+            except TypeError:
+                pass  # un-weakref-able subject: just recompute next time
+            return entry
 
     def _broadcast(self, job: Dict[str, object], payload: bytes) -> None:
         key = job["key"]
@@ -799,15 +842,7 @@ class CampaignPool:
             self.last_job = {"chunk_size": 0, "chunks_stolen": [0] * self.workers,
                             "reuse_hits": self.workers, **job_stats}
             return []
-        try:
-            payload, key = self._payloads[subject]
-        except (KeyError, TypeError):
-            payload = pickle.dumps(subject, protocol=pickle.HIGHEST_PROTOCOL)
-            key = subject_digest(payload)
-            try:
-                self._payloads[subject] = (payload, key)
-            except TypeError:
-                pass  # un-weakref-able subject: just recompute next time
+        payload, key = self._subject_payload(subject)
         if chunk_size is not None and chunk_size < 1:
             raise ReproError(f"chunk_size must be >= 1, got {chunk_size}")
         codes: List[int] = []
@@ -858,9 +893,7 @@ class CampaignPool:
                     job_stats["retries"] += 1
                     job_stats["redispatched_faults"] += unfinished
                     job_stats["redispatched_chunks"] += -(-unfinished // slab_chunk)
-                    time.sleep(
-                        min(self.backoff * (2 ** (attempt - 1)), _BACKOFF_CAP)
-                    )
+                    time.sleep(capped_backoff(self.backoff, attempt - 1))
                 self._next_index.value = 0
                 self._steal_counts[:] = [0] * self.workers
                 self._broadcast(job, payload)

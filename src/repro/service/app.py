@@ -142,7 +142,7 @@ class _Handler(BaseHTTPRequestHandler):
             # shutdown must come from another thread (serve_forever would
             # deadlock waiting on the request that called it).
             threading.Thread(
-                target=self.server.drain_and_stop,  # type: ignore[attr-defined]
+                target=self.server.close_service,  # type: ignore[attr-defined]
                 name="repro-serve-shutdown",
                 daemon=True,
             ).start()
@@ -273,10 +273,11 @@ class CampaignServer:
             raise
         self._httpd.engine = self.engine  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.drain_and_stop = self._drain_and_stop  # type: ignore[attr-defined]
+        self._httpd.close_service = self.close  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._closed = False
+        self._close_lock = threading.Lock()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -305,22 +306,18 @@ class CampaignServer:
         finally:
             self.close()
 
-    def _drain_and_stop(self) -> None:
-        """POST /shutdown path: finish accepted work, then stop serving."""
-        self.engine.close(drain=True)
-        self._httpd.shutdown()
-
     def install_signal_handlers(self) -> None:
         """Route ``SIGTERM``/``SIGINT`` through the graceful-drain path.
 
         A supervised ``repro serve`` gets the exact ``POST /shutdown``
-        semantics on termination signals: stop admitting, let queued and
-        running jobs finish (their results reach the journal), then stop
-        serving.  The drain runs on a daemon thread because
-        ``httpd.shutdown()`` deadlocks when called from ``serve_forever``'s
-        own thread -- and signal handlers run on the main thread, which
-        is exactly that thread in the CLI path.  Idempotent under signal
-        storms: only the first signal starts a drain.
+        semantics on termination signals: both run :meth:`close` (stop
+        admitting, let queued and running jobs finish -- their results
+        reach the journal -- then stop serving and close the listener).
+        The drain runs on a daemon thread because ``httpd.shutdown()``
+        deadlocks when called from ``serve_forever``'s own thread -- and
+        signal handlers run on the main thread, which is exactly that
+        thread in the CLI path.  Idempotent under signal storms: only the
+        first signal starts a drain.
         """
         started = threading.Event()
 
@@ -329,7 +326,7 @@ class CampaignServer:
                 return
             started.set()
             threading.Thread(
-                target=self._drain_and_stop,
+                target=self.close,
                 name="repro-serve-signal-drain",
                 daemon=True,
             ).start()
@@ -338,16 +335,19 @@ class CampaignServer:
         signal.signal(signal.SIGINT, _handler)
 
     def close(self) -> None:
-        """Graceful teardown: drain the engine, stop the HTTP loop."""
-        if self._closed:
-            return
-        self._closed = True
-        self.engine.close(drain=True)
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        """The one teardown (``POST /shutdown``, signals, ``with`` exit):
+        drain the engine, stop the HTTP loop, close the listener.
+        Idempotent; a concurrent second caller waits for the first."""
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+            self.engine.close(drain=True)
+            self._httpd.shutdown()
+            self._httpd.server_close()
+            if self._thread is not None:
+                self._thread.join(timeout=5.0)
+                self._thread = None
 
     def __enter__(self) -> "CampaignServer":
         return self.start() if self._thread is None else self

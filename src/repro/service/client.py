@@ -27,6 +27,7 @@ import time
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import quote, urlsplit
 
+from ..backoff import capped_backoff
 from ..exceptions import AdmissionError, ReproError
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -97,6 +98,10 @@ class ServiceClient:
 
     # -- wire plumbing -------------------------------------------------------
 
+    def _backoff(self, attempt: int) -> float:
+        """Sleep before retry ``attempt`` (0-based) of any client loop."""
+        return capped_backoff(self.backoff, attempt, self.backoff_cap)
+
     def _connection(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
@@ -115,7 +120,6 @@ class ServiceClient:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         attempt = 0
-        delay = self.backoff
         while True:
             conn = self._connection()
             try:
@@ -133,10 +137,9 @@ class ServiceClient:
                             f"campaign service at {self.host}:{self.port} "
                             f"unreachable after {attempt + 1} attempts: {exc}"
                         ) from exc
-                    attempt += 1
                     self.stats["retries"] += 1
-                    _sleep(delay)
-                    delay = min(delay * 2.0, self.backoff_cap)
+                    _sleep(self._backoff(attempt))
+                    attempt += 1
                     continue
                 try:
                     decoded = json.loads(raw) if raw else None
@@ -269,7 +272,7 @@ class ServiceClient:
         while pending:
             slice_jobs, pending = pending[:batch_size], pending[batch_size:]
             deadline = time.monotonic() + max_wait
-            delay = self.backoff
+            refusals = 0
             while slice_jobs:
                 try:
                     submitted.extend(self.submit_batch(slice_jobs))
@@ -280,7 +283,7 @@ class ServiceClient:
                         submitted.extend(admitted)
                         slice_jobs = slice_jobs[len(admitted) :]
                         deadline = time.monotonic() + max_wait
-                        delay = self.backoff
+                        refusals = 0
                     if time.monotonic() >= deadline:
                         raise ServiceError(
                             f"admission control refused "
@@ -288,8 +291,8 @@ class ServiceClient:
                             f"{exc}",
                             status=429,
                         ) from exc
-                    _sleep(delay)
-                    delay = min(delay * 2.0, self.backoff_cap)
+                    _sleep(self._backoff(refusals))
+                    refusals += 1
         return submitted
 
     def _poll_remaining(
@@ -361,7 +364,7 @@ class ServiceClient:
         order = [entry["job"] for entry in submitted]
         finished: Dict[str, Dict[str, object]] = {}
         outage_deadline: Optional[float] = None
-        delay = self.backoff
+        laps = 0
         while True:
             # Dedupe hits alias several submissions onto one job id;
             # stream each id once and fan its completion back out.
@@ -378,7 +381,7 @@ class ServiceClient:
                         continue
                     finished[job["job"]] = job
                     outage_deadline = None
-                    delay = self.backoff
+                    laps = 0
                     if progress is not None:
                         progress(
                             len(finished), len(dict.fromkeys(order)), job
@@ -406,8 +409,8 @@ class ServiceClient:
                         f"campaign service did not recover within "
                         f"{reconnect_wait}s: {exc}"
                     ) from exc
-                _sleep(delay)
-                delay = min(delay * 2.0, self.backoff_cap)
+                _sleep(self._backoff(laps))
+                laps += 1
                 before = len(finished)
                 try:
                     order = self._poll_remaining(
@@ -417,5 +420,5 @@ class ServiceClient:
                     continue  # still down; next lap re-checks the deadline
                 if len(finished) > before:
                     outage_deadline = None
-                    delay = self.backoff
+                    laps = 0
         return [finished[job_id] for job_id in order]

@@ -59,7 +59,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import json
 import os
 import threading
 import time
@@ -70,6 +69,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from ..exceptions import AdmissionError, PoolClosed, ReproError
 from ..faults.chaos import ChaosState, service_generation
 from ..fsm import kiss
+from ..ledger import canonical_json
 from ..suite import corpus as corpus_mod
 from ..suite.sweep import SweepConfig, sweep_member
 from .journal import JobJournal
@@ -120,10 +120,6 @@ class AdhocMember:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def resolve_member(payload: Mapping):
     """The job payload's subject: a corpus member record or inline KISS2.
 
@@ -167,7 +163,7 @@ def job_payload_key(
     payload = config.to_dict()
     for transient in ("workers", "pool"):
         payload.pop(transient, None)
-    text = _canonical_json(
+    text = canonical_json(
         {"member": member_id, "subject": subject_sha256, "config": payload}
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -660,6 +656,10 @@ class JobEngine:
     def _shard_loop(self, shard: int) -> None:
         pool = self._pools[shard]
         while True:
+            if self.journal is not None and self.journal.closed:
+                # The engine is dead (its journal was closed under it):
+                # start no job whose result could not be made durable.
+                return
             with self._cond:
                 job = self._next_job(shard)
                 while job is None and not self._closed:

@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import JournalCorrupt, ReproError
+from ..ledger import canonical_json
 
 __all__ = ["JobJournal", "JournalRecord", "JournalReplay", "record_digest"]
 
@@ -78,14 +79,10 @@ KINDS = ("submit", "state", "result")
 FSYNC_POLICIES = ("always", "interval", "never")
 
 
-def _canonical(payload: Dict[str, object]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def record_digest(seq: int, kind: str, data: Dict[str, object]) -> str:
     """The per-record integrity hash: SHA-256 over the canonical record
     body (everything but the ``sha256`` field itself)."""
-    body = _canonical({"data": data, "kind": kind, "seq": seq, "v": _VERSION})
+    body = canonical_json({"data": data, "kind": kind, "seq": seq, "v": _VERSION})
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
@@ -288,7 +285,7 @@ class JobJournal:
                 "sha256": record_digest(seq, kind, data),
                 "v": _VERSION,
             }
-            line = (_canonical(payload) + "\n").encode("utf-8")
+            line = (canonical_json(payload) + "\n").encode("utf-8")
             self._handle.write(line)
             self._handle.flush()
             self._maybe_fsync()
@@ -351,6 +348,10 @@ class JobJournal:
         except OSError:
             snapshot["bytes"] = 0
         return snapshot
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     def close(self) -> None:
         """Flush, fsync (unless policy is ``never``) and close; idempotent."""

@@ -24,7 +24,7 @@ pattern, with no hand-edited numbers anywhere:
 
 Work shards across CI cells with the corpus's stable member sharding; the
 campaigns run through the existing engine stack (``CampaignPool``,
-chunk-steal workers, collapse, resilience) -- all of which guarantee
+collapse, resilience) -- all of which guarantee
 bit-identical reports, which is what makes the ledger meaningful.
 """
 
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..exceptions import ReproError
+from ..ledger import canonical_json
 from . import corpus as corpus_mod
 
 MANIFEST_FORMAT = "repro-sweep/1"
@@ -150,7 +151,7 @@ def canonical_record(record: Mapping) -> str:
         for key, value in record.items()
         if key not in ("wall", "telemetry")
     }
-    return json.dumps(clean, sort_keys=True, separators=(",", ":"))
+    return canonical_json(clean)
 
 
 def _canonical_digest(records: Sequence[Mapping]) -> str:
@@ -437,10 +438,7 @@ def run_sweep(
         records = _service_records(service, members, config, progress)
         with open(metrics_path, "w", encoding="utf-8") as handle:
             for record in records:
-                handle.write(
-                    json.dumps(record, sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
+                handle.write(canonical_json(record) + "\n")
     else:
         pool = None
         if config.pool:
@@ -453,10 +451,7 @@ def run_sweep(
                 for index, member in enumerate(members):
                     record = sweep_member(member, config, pool)
                     records.append(record)
-                    handle.write(
-                        json.dumps(record, sort_keys=True, separators=(",", ":"))
-                        + "\n"
-                    )
+                    handle.write(canonical_json(record) + "\n")
                     if progress is not None:
                         progress(index, len(members), record)
         finally:

@@ -14,6 +14,7 @@ with its attempt/unprocessed accounting intact.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 
@@ -262,8 +263,8 @@ class TestCheckpointResume:
 class TestDegradationLadder:
     def test_pool_falls_back_to_workers(self, controller, oracle):
         # The pool is unusable (every worker crashes, every generation, no
-        # budget); degrade=True walks down to the one-shot scheduler,
-        # which runs chaos-free (the plan targets the pool scope only).
+        # budget); degrade=True walks down to the in-process serial rung,
+        # which chaos cannot reach.
         plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0, sticky=True)])
         with CampaignPool(2, chaos=plan, retries=0, backoff=0.01) as pool:
             report = run_campaign(
@@ -282,17 +283,18 @@ class TestDegradationLadder:
         first = resilience["fallbacks"][0]
         assert isinstance(first, DegradationEvent)
         assert first.rung_from == "pool"
-        assert first.rung_to == "workers"
+        assert first.rung_to == "serial"
         assert first.kind == "crash"
         assert first.to_dict()["rung_from"] == "pool"
 
     def test_workers_fall_back_to_serial(self, controller, oracle, monkeypatch):
-        # Engine-scope chaos arms through the environment (the one-shot
-        # scheduler spawns fresh processes, which inherit it); sticky
-        # crashes on every worker exhaust the budget and the ladder lands
-        # on the in-process serial rung, which chaos cannot reach.
+        # Pool-scope chaos arms through the environment (the short-lived
+        # pool of a workers=N campaign spawns fresh processes, which
+        # inherit it); sticky crashes on every worker exhaust the budget
+        # and the ladder lands on the in-process serial rung, which chaos
+        # cannot reach.
         plan = ChaosPlan(
-            [ChaosEvent(kind="crash", on_chunk=0, sticky=True, target="engine")]
+            [ChaosEvent(kind="crash", on_chunk=0, sticky=True, target="pool")]
         )
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         report = measure_coverage(
@@ -307,14 +309,14 @@ class TestDegradationLadder:
         assert report == oracle
         resilience = CAMPAIGN_STATS["resilience"]
         assert any(
-            event.rung_from == "workers" and event.rung_to == "serial"
+            event.rung_from == "pool" and event.rung_to == "serial"
             for event in resilience["fallbacks"]
         )
         assert resilience["retries"] >= 1
 
     def test_exhausted_ladderless_engine_raises(self, controller, monkeypatch):
         plan = ChaosPlan(
-            [ChaosEvent(kind="crash", on_chunk=0, sticky=True, target="engine")]
+            [ChaosEvent(kind="crash", on_chunk=0, sticky=True, target="pool")]
         )
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         with pytest.raises(WorkerCrash) as excinfo:
@@ -330,11 +332,12 @@ class TestDegradationLadder:
 
 
 class TestEngineRecovery:
-    """One-shot scheduler resilience (chaos armed via the environment)."""
+    """``workers=N`` resilience: the short-lived pool (chaos armed via the
+    environment)."""
 
     def test_engine_crash_retry_matches_oracle(self, controller, oracle, monkeypatch):
         plan = ChaosPlan(
-            [ChaosEvent(kind="crash", on_chunk=1, target="engine")]
+            [ChaosEvent(kind="crash", on_chunk=1, target="pool")]
         )
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         report = measure_coverage(
@@ -351,7 +354,7 @@ class TestEngineRecovery:
 
     def test_engine_hang_watchdog_matches_oracle(self, controller, oracle, monkeypatch):
         plan = ChaosPlan(
-            [ChaosEvent(kind="hang", on_chunk=0, target="engine")]
+            [ChaosEvent(kind="hang", on_chunk=0, target="pool")]
         )
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         report = measure_coverage(
@@ -366,6 +369,31 @@ class TestEngineRecovery:
         assert report == oracle
         assert CAMPAIGN_STATS["resilience"]["timeouts"] >= 0  # counted pool-side only
         assert CAMPAIGN_STATS["resilience"]["retries"] >= 1
+
+
+class TestShortLivedPoolLifetime:
+    def test_workers_campaign_leaves_no_children(
+        self, controller, oracle, monkeypatch
+    ):
+        """A ``workers=N`` campaign releases every process it started,
+        whether it succeeds or its retry budget runs out."""
+        report = measure_coverage(
+            controller, cycles=CYCLES, seed=SEED, dropping=True, workers=2
+        )
+        assert report == oracle
+        assert multiprocessing.active_children() == []
+        plan = ChaosPlan([ChaosEvent(kind="crash", on_chunk=0, sticky=True)])
+        monkeypatch.setenv(CHAOS_ENV, plan.to_json())
+        with pytest.raises(WorkerCrash):
+            measure_coverage(
+                controller,
+                cycles=CYCLES,
+                seed=SEED,
+                dropping=True,
+                workers=2,
+                retries=0,
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestRandomSchedules:
