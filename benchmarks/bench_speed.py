@@ -35,6 +35,10 @@ the optimised results are bit-identical to the reference paths:
 * **logic_minimize**: two-level minimization -- the string-cube reference
   minimizers versus the packed integer-cube engines on a pinned corpus
   (identical covers);
+* **controller_logic**: controller-scale two-level synthesis -- the
+  C1/C2/lambda tables of Table-1 machines (dk16 and s1 in full mode),
+  string reference minimizers plus a string row check versus
+  ``synthesize_table`` (identical covers);
 * **corpus_sweep**: the registry-driven sweep harness end to end over a
   corpus slice -- uncollapsed versus equivalence-collapsed campaigns,
   with the metrics records (modulo collapse telemetry) required to be
@@ -426,6 +430,75 @@ def bench_logic_minimize(n_functions: int, max_inputs: int) -> dict:
     }
 
 
+def bench_controller_logic(names) -> dict:
+    """Controller-scale two-level synthesis: string oracle vs packed engine.
+
+    Each machine's C1/C2/lambda tables are built as the Table-1 sweep
+    builds them (its search at ``SweepConfig`` defaults; not timed) and
+    synthesized twice: every output through the string reference
+    minimizers (exact up to 10 inputs, heuristic above, as ``minimize``
+    picks) followed by a string evaluation of every table row, versus
+    ``synthesize_table`` (bitmap minimizers, one don't-care set per table,
+    bitmap re-check).  ``identical`` demands cover-for-cover equality.
+    """
+    from repro.encoding.encoded import encode_realization
+    from repro.logic import (
+        minimize_exact_reference,
+        minimize_heuristic_reference,
+        synthesize_table,
+    )
+    from repro.suite import corpus
+    from repro.suite.sweep import SweepConfig
+
+    config = SweepConfig()
+    members = {m.name: m for m in corpus.members(family_filter=["table1"])}
+    tables = []
+    for name in names:
+        result = search_ostr(
+            members[name].build(),
+            node_limit=config.node_limit,
+            basis_order=config.basis_order,
+        )
+        encoded = encode_realization(result.realization())
+        tables += [encoded.c1, encoded.c2, encoded.lambda_]
+
+    def reference(table):
+        minimizer = (
+            minimize_exact_reference
+            if table.n_inputs <= 10
+            else minimize_heuristic_reference
+        )
+        covers = [
+            minimizer(*table.output_column(position), table.n_inputs)
+            for position in range(table.n_outputs)
+        ]
+        for pattern, expected in table.rows.items():
+            actual = "".join("1" if c.evaluate(pattern) else "0" for c in covers)
+            if actual != expected:
+                raise AssertionError(f"reference cover wrong at {pattern!r}")
+        return covers
+
+    def packed(table):
+        result = synthesize_table(table)
+        return [
+            result.cover_for_output(position) for position in range(table.n_outputs)
+        ]
+
+    reference_covers, reference_s = _timed(lambda: [reference(t) for t in tables])
+    packed_covers, packed_s = _timed(lambda: [packed(t) for t in tables])
+    return {
+        "bench": f"controller_logic/{'+'.join(names)}",
+        "tables": len(tables),
+        "max_inputs": max(t.n_inputs for t in tables),
+        "baseline_s": round(reference_s, 4),
+        "optimized_s": round(packed_s, 4),
+        "speedup": (
+            round(reference_s / packed_s, 2) if packed_s else float("inf")
+        ),
+        "identical": reference_covers == packed_covers,
+    }
+
+
 def bench_corpus_sweep(limit: int) -> dict:
     """The registry-driven corpus sweep harness end to end.
 
@@ -500,6 +573,7 @@ def main(argv=None) -> int:
         collapse_name = "dk27"
         kernel_case = dict(name="dk512", repeats=5)
         logic_case = dict(n_functions=12, max_inputs=7)
+        controller_names = ("dk27",)
         corpus_limit = 3
     else:
         coverage_cases = [
@@ -515,6 +589,7 @@ def main(argv=None) -> int:
         collapse_name = "dk14"
         kernel_case = dict(name="dk16", repeats=5)
         logic_case = dict(n_functions=40, max_inputs=8)
+        controller_names = ("dk16", "s1")
         corpus_limit = 8
 
     baseline_payload = None
@@ -592,6 +667,16 @@ def main(argv=None) -> int:
         f"{logic_bench['baseline_s']:.2f}s -> "
         f"{logic_bench['optimized_s']:.2f}s "
         f"(x{logic_bench['speedup']}, identical={logic_bench['identical']})"
+    )
+    controller_bench = bench_controller_logic(controller_names)
+    results.append(controller_bench)
+    print(
+        f"{controller_bench['bench']}: {controller_bench['tables']} tables "
+        f"(up to {controller_bench['max_inputs']} inputs), "
+        f"{controller_bench['baseline_s']:.2f}s -> "
+        f"{controller_bench['optimized_s']:.2f}s "
+        f"(x{controller_bench['speedup']}, "
+        f"identical={controller_bench['identical']})"
     )
     corpus_bench = bench_corpus_sweep(corpus_limit)
     results.append(corpus_bench)

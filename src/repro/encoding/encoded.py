@@ -60,15 +60,20 @@ class TruthTable:
         """Fraction of the input space with specified outputs."""
         return len(self.rows) / (2 ** self.n_inputs) if self.n_inputs else 1.0
 
+    def on_set(self, position: int) -> List[str]:
+        """Input patterns whose output bit ``position`` is 1, in row order."""
+        return [row for row, value in self.rows.items() if value[position] == "1"]
+
+    def dc_set(self) -> List[str]:
+        """Unspecified input patterns, ascending: the don't-cares of every output."""
+        patterns = (
+            format(value, f"0{self.n_inputs}b") for value in range(2 ** self.n_inputs)
+        )
+        return [pattern for pattern in patterns if pattern not in self.rows]
+
     def output_column(self, position: int) -> Tuple[List[str], List[str]]:
         """(on-set, dc-set) minterm lists for one output bit."""
-        on_set = [row for row, value in self.rows.items() if value[position] == "1"]
-        dc_set = [
-            format(value, f"0{self.n_inputs}b")
-            for value in range(2 ** self.n_inputs)
-            if format(value, f"0{self.n_inputs}b") not in self.rows
-        ]
-        return on_set, dc_set
+        return self.on_set(position), self.dc_set()
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,26 @@ on the packed form defined here as well: a cube is an integer pair
 ``(mask, value)`` where bit ``j`` of ``mask`` is set iff string position
 ``n - 1 - j`` is bound, and ``value`` holds the bound literal values on
 those bits (``value & ~mask == 0``).  A fully specified minterm packs to
-``int(minterm, 2)``, so containment, intersection, merging and expansion
-all become one- or two-instruction bit operations (the ``int_cube_*``
-functions below).  The string functions are kept both as the boundary
-adapters and as the reference semantics the packed ops are property-tested
-against.
+``int(minterm, 2)``, so containment and intersection become one- or
+two-instruction bit operations (the ``int_cube_*`` functions below).  The
+string functions are kept both as the boundary adapters and as the
+reference semantics the packed ops are property-tested against.
+
+Sets of minterms -- a function's on-, don't-care and off-sets, the
+minterms a cube contains, the implicants of one mask in Quine-McCluskey --
+are *minterm bitmaps*: one int of ``2**n`` bits whose bit ``v`` stands for
+minterm ``v``.  :func:`literal_bitmaps` gives, per input, the bitmaps of
+the minterms with that input at 0 and at 1, so a cube's minterm set is an
+AND of literal bitmaps, a cube-vs-set intersection test is one more AND,
+and merging implicants across input ``k`` is a shift by ``2**k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import LogicError
 
@@ -155,16 +163,6 @@ def int_cubes_intersect(a: IntCube, b: IntCube) -> bool:
     return a[1] & common == b[1] & common
 
 
-def int_merge_or_none(a: IntCube, b: IntCube) -> Optional[IntCube]:
-    """Distance-1 merge of packed cubes with identical masks, else None."""
-    if a[0] != b[0]:
-        return None
-    difference = a[1] ^ b[1]
-    if difference == 0 or difference & (difference - 1):
-        return None
-    return a[0] & ~difference, a[1] & ~difference
-
-
 def int_supercube(minterms: Sequence[int], n_inputs: int) -> IntCube:
     """Smallest packed cube containing all the given integer minterms."""
     first = minterms[0]
@@ -173,6 +171,60 @@ def int_supercube(minterms: Sequence[int], n_inputs: int) -> IntCube:
         differing |= first ^ minterm
     mask = ((1 << n_inputs) - 1) & ~differing
     return mask, first & mask
+
+
+# ---------------------------------------------------------------------------
+# Minterm bitmaps: a set of minterms as one big int
+# ---------------------------------------------------------------------------
+
+
+def space_bitmap(n_inputs: int) -> int:
+    """Bitmap of every minterm over ``n_inputs`` inputs."""
+    return (1 << (1 << n_inputs)) - 1
+
+
+@lru_cache(maxsize=None)
+def literal_bitmaps(n_inputs: int) -> Tuple[Tuple[int, int], ...]:
+    """Per input bit ``k``: (bitmap of minterms with bit ``k`` clear, with it set).
+
+    A minterm bitmap over ``n`` inputs is an int of ``2**n`` bits whose bit
+    ``v`` stands for integer minterm ``v``.  Bit ``k`` of ``v`` is set on
+    runs of ``2**k`` minterms repeating every ``2**(k + 1)``, so the set
+    bitmap is that run pattern replicated by one multiplication.
+    """
+    space = space_bitmap(n_inputs)
+    bitmaps = []
+    for k in range(n_inputs):
+        run = 1 << k
+        period_starts = space // ((1 << (2 * run)) - 1)
+        bit_set = period_starts * (((1 << run) - 1) << run)
+        bitmaps.append((space ^ bit_set, bit_set))
+    return tuple(bitmaps)
+
+
+def cube_bitmap(mask: int, value: int, n_inputs: int) -> int:
+    """Bitmap of the minterms a packed cube contains."""
+    bitmap = space_bitmap(n_inputs)
+    for k, (bit_clear, bit_set) in enumerate(literal_bitmaps(n_inputs)):
+        if mask >> k & 1:
+            bitmap &= bit_set if value >> k & 1 else bit_clear
+    return bitmap
+
+
+def minterm_bitmap(minterms: Iterable[int]) -> int:
+    """Bitmap of the given integer minterms."""
+    bitmap = 0
+    for minterm in minterms:
+        bitmap |= 1 << minterm
+    return bitmap
+
+
+def bitmap_minterms(bitmap: int) -> Iterator[int]:
+    """The integer minterms of a bitmap, ascending."""
+    while bitmap:
+        lowest = bitmap & -bitmap
+        yield lowest.bit_length() - 1
+        bitmap ^= lowest
 
 
 @dataclass(frozen=True)

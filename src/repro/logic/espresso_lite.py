@@ -10,14 +10,18 @@ of the espresso recipe on explicit on/off sets:
 3. **IRREDUNDANT**: greedily drop cubes whose on-set minterms are covered
    by the rest.
 
-The passes run on packed ``(mask, value)`` integer cubes
-(:mod:`repro.logic.cubes`): the expansion's off-set scan -- the hot loop
-of the whole minimizer -- is one AND-and-compare per off minterm instead
-of a character walk.  :func:`repro.logic.reference.
+The passes run on packed ``(mask, value)`` integer cubes and minterm
+bitmaps (:mod:`repro.logic.cubes`).  The off-set is one bitmap, and a cube
+keeps the bitmap of its minterms as it expands: freeing a literal mirrors
+that bitmap across the literal's input (one shift and OR), and the trial
+cube meets the off-set iff the result ANDs non-zero with it -- the hot
+loop of the whole minimizer is two big-int operations per literal instead
+of a scan of the off-set.  :func:`repro.logic.reference.
 minimize_heuristic_reference` is the seed's string implementation, kept as
-the equivalence oracle; identical covers are asserted by the property
-suite.  Cube orderings are fully deterministic (first-appearance tie
-breaks), so repeated runs produce byte-identical covers.
+the equivalence oracle; identical covers are asserted by the property and
+corpus-scale oracle suites.  Cube orderings are fully deterministic
+(first-appearance tie breaks), so repeated runs produce byte-identical
+covers.
 
 The result is verified against the on/off sets before being returned, so a
 bug in the heuristics can never produce a functionally wrong cover.
@@ -25,32 +29,36 @@ bug in the heuristics can never produce a functionally wrong cover.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from ..exceptions import LogicError
 from .cubes import (
     Cover,
     IntCube,
+    bitmap_minterms,
+    cube_bitmap,
     int_cube_contains,
     int_supercube,
+    minterm_bitmap,
     pack_minterm,
+    space_bitmap,
     unpack_cube,
     unpack_minterm,
 )
 
 
-def _expand_cube(cube: IntCube, off_set: Sequence[int], n_inputs: int) -> IntCube:
+def _expand_cube(cube: IntCube, off_bitmap: int, n_inputs: int) -> IntCube:
     """Free bound literals while the cube avoids every off-set minterm."""
     mask, value = cube
+    minterms = cube_bitmap(mask, value, n_inputs)
     bit = 1 << (n_inputs - 1) if n_inputs else 0
     while bit:  # string position order: leftmost (highest bit) first
         if mask & bit:
-            trial_mask = mask & ~bit
-            trial_value = value & ~bit
-            if not any(
-                off & trial_mask == trial_value for off in off_set
-            ):
-                mask, value = trial_mask, trial_value
+            # Freeing the literal adds each minterm's mirror across ``bit``.
+            mirrored = minterms >> bit if value & bit else minterms << bit
+            if not mirrored & off_bitmap:
+                mask, value = mask & ~bit, value & ~bit
+                minterms |= mirrored
         bit >>= 1
     return mask, value
 
@@ -66,21 +74,29 @@ def _absorb(cubes: List[IntCube]) -> List[IntCube]:
     return kept
 
 
-def _irredundant(cubes: List[IntCube], on_set: Sequence[int]) -> List[IntCube]:
+def _cover_bitmap(cubes: Sequence[IntCube], n_inputs: int) -> int:
+    """Bitmap of the minterms covered by any of the cubes."""
+    covered = 0
+    for mask, value in cubes:
+        covered |= cube_bitmap(mask, value, n_inputs)
+    return covered
+
+
+def _irredundant(
+    cubes: List[IntCube], on_bitmap: int, n_inputs: int
+) -> List[IntCube]:
     """Greedy removal of cubes not needed to cover the on-set."""
     kept = list(cubes)
     # Try to drop the most specific (most bound literals) cubes first.
     for cube in sorted(list(kept), key=lambda c: -c[0].bit_count()):
         others = [c for c in kept if c != cube]
-        if all(
-            any(m & mask == value for mask, value in others) for m in on_set
-        ):
+        if not on_bitmap & ~_cover_bitmap(others, n_inputs):
             kept = others
     return kept
 
 
 def _reduce(
-    cubes: List[IntCube], on_set: Sequence[int], n_inputs: int
+    cubes: List[IntCube], on_bitmap: int, n_inputs: int
 ) -> List[IntCube]:
     """REDUCE pass: shrink each cube to the supercube of the on-set
     minterms only it covers; a shrunk cube can expand differently on the
@@ -98,14 +114,15 @@ def _reduce(
     while position < len(reduced):
         mask, value = reduced[position]
         others = reduced[:position] + reduced[position + 1 :]
-        exclusive = [
-            minterm
-            for minterm in on_set
-            if minterm & mask == value
-            and not any(minterm & om == ov for om, ov in others)
-        ]
+        exclusive = (
+            on_bitmap
+            & cube_bitmap(mask, value, n_inputs)
+            & ~_cover_bitmap(others, n_inputs)
+        )
         if exclusive:
-            reduced[position] = int_supercube(exclusive, n_inputs)
+            reduced[position] = int_supercube(
+                list(bitmap_minterms(exclusive)), n_inputs
+            )
             position += 1
         else:
             del reduced[position]  # fully covered by the rest (irredundant)
@@ -123,7 +140,7 @@ def minimize_heuristic(
     The classic loop: EXPAND against the off-set, ABSORB contained cubes,
     IRREDUNDANT, then REDUCE and repeat -- ``iterations`` rounds, keeping
     the best cover seen (fewest cubes, then fewest literals).  The off-set
-    is materialised explicitly (as packed integers), so this still assumes
+    is materialised explicitly (as a minterm bitmap), so this still assumes
     the input space is enumerable (controller-scale logic); what it avoids
     is the prime-implicant explosion of exact minimization.
     """
@@ -133,15 +150,16 @@ def minimize_heuristic(
         if len(minterm) != n_inputs or not set(minterm) <= {"0", "1"}:
             raise LogicError(f"invalid minterm {minterm!r}")
     on_values = [pack_minterm(minterm) for minterm in on_set]
-    care: Set[int] = set(on_values) | {pack_minterm(m) for m in dc_set}
-    off_set = [v for v in range(2 ** n_inputs) if v not in care]
+    on_bitmap = minterm_bitmap(on_values)
+    care = on_bitmap | minterm_bitmap(pack_minterm(m) for m in dc_set)
+    off_bitmap = space_bitmap(n_inputs) & ~care
     full_mask = (1 << n_inputs) - 1
 
     def one_pass(cubes: List[IntCube]) -> List[IntCube]:
         cubes = sorted(dict.fromkeys(cubes), key=lambda c: c[0].bit_count())
-        expanded = [_expand_cube(cube, off_set, n_inputs) for cube in cubes]
+        expanded = [_expand_cube(cube, off_bitmap, n_inputs) for cube in cubes]
         compact = _absorb(expanded)
-        return _irredundant(compact, on_values)
+        return _irredundant(compact, on_bitmap, n_inputs)
 
     current = one_pass(
         [(full_mask, v) for v in dict.fromkeys(on_values)]
@@ -152,7 +170,7 @@ def minimize_heuristic(
         return (len(cubes), sum(mask.bit_count() for mask, _ in cubes))
 
     for _ in range(max(0, iterations - 1)):
-        reduced = _reduce(current, on_values, n_inputs)
+        reduced = _reduce(current, on_bitmap, n_inputs)
         if not reduced:
             break
         current = one_pass(reduced)
@@ -160,39 +178,40 @@ def minimize_heuristic(
         # compete on cost (EXPAND/IRREDUNDANT never add coverage, so a
         # coverage hole would otherwise win on cube count and only be
         # caught by the verification below).
-        if all(
-            any(m & mask == value for mask, value in current)
-            for m in on_values
-        ) and cost(current) < cost(best):
+        covers_on_set = not on_bitmap & ~_cover_bitmap(current, n_inputs)
+        if covers_on_set and cost(current) < cost(best):
             best = list(current)
 
     cover = Cover(
         n_inputs,
         tuple(sorted(unpack_cube(mask, value, n_inputs) for mask, value in best)),
     )
-    _verify_packed(best, on_values, off_set, n_inputs)
+    _verify_packed(best, on_values, on_bitmap, off_bitmap, n_inputs)
     return cover
 
 
 def _verify_packed(
     cubes: List[IntCube],
     on_values: Sequence[int],
-    off_set: Sequence[int],
+    on_bitmap: int,
+    off_bitmap: int,
     n_inputs: int,
 ) -> None:
-    """Packed-form :func:`repro.logic.cubes.verify_cover` (same failures)."""
-    for minterm in on_values:
-        if not any(minterm & mask == value for mask, value in cubes):
-            raise LogicError(
-                "cover misses on-set minterm "
-                f"{unpack_minterm(minterm, n_inputs)!r}"
-            )
-    for minterm in off_set:
-        if any(minterm & mask == value for mask, value in cubes):
-            raise LogicError(
-                "cover wrongly covers off-set minterm "
-                f"{unpack_minterm(minterm, n_inputs)!r}"
-            )
+    """Bitmap form of :func:`repro.logic.cubes.verify_cover` (same failures)."""
+    covered = _cover_bitmap(cubes, n_inputs)
+    missed = on_bitmap & ~covered
+    if missed:
+        minterm = next(m for m in on_values if missed >> m & 1)
+        raise LogicError(
+            f"cover misses on-set minterm {unpack_minterm(minterm, n_inputs)!r}"
+        )
+    wrong = covered & off_bitmap
+    if wrong:
+        minterm = (wrong & -wrong).bit_length() - 1
+        raise LogicError(
+            "cover wrongly covers off-set minterm "
+            f"{unpack_minterm(minterm, n_inputs)!r}"
+        )
 
 
 def minimize(

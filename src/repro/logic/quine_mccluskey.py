@@ -7,13 +7,16 @@ on the remaining cyclic core.  Cost order: fewest cubes, then fewest
 literals -- the standard PLA objective, which is also what the paper's
 "logic minimization" step (their references [5, 6]) optimises.
 
-The public API trades in string cubes, but the engine runs on packed
-``(mask, value)`` integer cubes (:mod:`repro.logic.cubes`): merging is a
-two-instruction XOR test, containment a masked compare, and coverage of a
-minterm a single AND.  :func:`repro.logic.reference.
-minimize_exact_reference` is the seed's string implementation, kept as the
-equivalence oracle -- both produce identical covers (asserted by the
-property suite).
+The public API trades in string cubes; the engine runs on packed
+``(mask, value)`` integer cubes and minterm bitmaps
+(:mod:`repro.logic.cubes`).  Prime generation keeps one bitmap of
+implicants per cube mask, so all distance-1 merges across one input are a
+single shift-and-AND instead of pairwise cube compares.  The cyclic-core
+search holds its uncovered minterms as a bitmap, so picking the pivot is a
+lowest-set-bit and scoring an option a popcount.
+:func:`repro.logic.reference.minimize_exact_reference` is the seed's string
+implementation, kept as the equivalence oracle -- both produce identical
+covers (asserted by the property and corpus-scale oracle suites).
 
 Intended for the input widths of controller logic (up to ~12 variables);
 :mod:`repro.logic.espresso_lite` covers anything larger heuristically.
@@ -27,8 +30,10 @@ from ..exceptions import LogicError
 from .cubes import (
     Cover,
     IntCube,
+    bitmap_minterms,
     int_cube_literals,
-    int_merge_or_none,
+    literal_bitmaps,
+    minterm_bitmap,
     pack_cube,
     pack_minterm,
     unpack_cube,
@@ -40,43 +45,50 @@ _MAX_INPUTS = 16
 
 def _validated_care(
     on_set: Sequence[str], dc_set: Sequence[str], n_inputs: int
-) -> Set[int]:
-    """Validate the minterm strings and return the packed care set."""
-    care: Set[int] = set()
-    for minterm in list(on_set) + list(dc_set):
+) -> int:
+    """Validate the minterm strings and return the care-set bitmap."""
+    care = list(on_set) + list(dc_set)
+    for minterm in care:
         if len(minterm) != n_inputs or not set(minterm) <= {"0", "1"}:
             raise LogicError(f"invalid minterm {minterm!r}")
-        care.add(pack_minterm(minterm))
     if n_inputs > _MAX_INPUTS:
         raise LogicError(
             f"{n_inputs} inputs exceeds the exact-minimizer limit "
             f"({_MAX_INPUTS}); use espresso_lite"
         )
-    return care
+    return minterm_bitmap(pack_minterm(minterm) for minterm in care)
 
 
-def _prime_implicants_packed(care: Set[int], n_inputs: int) -> Set[IntCube]:
-    """All prime implicants of the care set, as packed cubes."""
-    full_mask = (1 << n_inputs) - 1
-    current: Set[IntCube] = {(full_mask, value) for value in care}
-    primes: Set[IntCube] = set()
-    while current:
-        merged_from: Set[IntCube] = set()
-        next_level: Set[IntCube] = set()
-        grouped: Dict[int, List[IntCube]] = {}
-        for cube in current:
-            grouped.setdefault(cube[1].bit_count(), []).append(cube)
-        for ones, cubes in grouped.items():
-            partners = grouped.get(ones + 1, [])
-            for a in cubes:
-                for b in partners:
-                    merged = int_merge_or_none(a, b)
-                    if merged is not None:
-                        next_level.add(merged)
-                        merged_from.add(a)
-                        merged_from.add(b)
-        primes |= current - merged_from
-        current = next_level
+def _prime_implicants_packed(care: int, n_inputs: int) -> List[IntCube]:
+    """All prime implicants of the care-set bitmap, as packed cubes.
+
+    The tabulation runs level by level with one bitmap per cube mask: bit
+    ``v`` of ``level[mask]`` says cube ``(mask, v)`` is an implicant.  Two
+    implicants of a mask merge across bound input ``k`` iff their values
+    are ``v`` and ``v | 2**k`` with bit ``k`` of ``v`` clear, so every merge
+    across ``k`` at once is ``V & (V >> 2**k) & clear[k]``.  An implicant
+    that merged with nothing is prime.
+    """
+    bit_clear = [clear for clear, _ in literal_bitmaps(n_inputs)]
+    level: Dict[int, int] = {(1 << n_inputs) - 1: care}
+    primes: List[IntCube] = []
+    while level:
+        next_level: Dict[int, int] = {}
+        for mask, implicants in level.items():
+            merged = 0
+            for k in range(n_inputs):
+                bit = 1 << k
+                if not mask & bit:
+                    continue
+                hits = implicants & (implicants >> bit) & bit_clear[k]
+                if hits:
+                    merged |= hits | hits << bit
+                    wider = mask & ~bit
+                    next_level[wider] = next_level.get(wider, 0) | hits
+            primes.extend(
+                (mask, value) for value in bitmap_minterms(implicants & ~merged)
+            )
+        level = next_level
     return primes
 
 
@@ -177,48 +189,61 @@ def _branch_and_bound(
     covering: Dict[int, List[int]],
     already: Set[int],
 ) -> Set[int]:
-    """Exact covering of the cyclic core (small by the time we get here)."""
-    best: List[Optional[Set[int]]] = [None]
+    """Exact covering of the cyclic core (small by the time we get here).
 
-    def cost(selection: Set[int]) -> Tuple[int, int]:
-        return (
-            len(selection),
-            sum(int_cube_literals(primes[index][0]) for index in selection),
+    Branches on the hardest uncovered minterm (fewest options, first in
+    ``remaining`` on ties), trying its options most-new-coverage first.
+    Minterms are ranked in that pivot order and the uncovered set is a
+    bitmap over ranks, so the pivot is the lowest set bit and an option's
+    new coverage one popcount.  The (cubes, literals) cost of the partial
+    selection is carried down the recursion; ``best`` only ever moves to a
+    strictly cheaper cover, so a node that cannot add one more cube below
+    it is cut before its options are scored.
+    """
+    options_of = {
+        minterm: [index for index in covering[minterm] if index not in already]
+        for minterm in remaining
+    }
+    ranked = sorted(remaining, key=lambda minterm: len(options_of[minterm]))
+    options = [options_of[minterm] for minterm in ranked]
+    rows: Dict[int, int] = {}
+    literals: Dict[int, int] = {}
+    for index in {index for choices in options for index in choices}:
+        mask, value = primes[index]
+        rows[index] = sum(
+            1 << rank
+            for rank, minterm in enumerate(ranked)
+            if minterm & mask == value
         )
+        literals[index] = int_cube_literals(mask)
 
-    def recurse(uncovered: List[int], selection: Set[int]) -> None:
-        if best[0] is not None and cost(selection) >= cost(best[0]):
-            return
+    best: Optional[Set[int]] = None
+    best_cost: Optional[Tuple[int, int]] = None
+    selection: List[int] = []
+
+    def recurse(uncovered: int, cubes: int, lits: int) -> None:
+        nonlocal best, best_cost
         if not uncovered:
-            best[0] = set(selection)
+            best, best_cost = set(selection), (cubes, lits)
             return
-        # Branch on the hardest minterm (fewest options) for tight bounds.
-        pivot = min(
-            uncovered,
-            key=lambda minterm: len(
-                [i for i in covering[minterm] if i not in already]
-            ),
+        if best_cost is not None and (cubes + 1, lits) >= best_cost:
+            return
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        choices = sorted(
+            options[pivot], key=lambda index: -(uncovered & rows[index]).bit_count()
         )
-        options = [index for index in covering[pivot] if index not in already]
-        options.sort(
-            key=lambda index: -len(
-                [
-                    m
-                    for m in uncovered
-                    if m & primes[index][0] == primes[index][1]
-                ]
-            )
-        )
-        for index in options:
-            mask, value = primes[index]
-            new_selection = selection | {index}
-            new_uncovered = [m for m in uncovered if m & mask != value]
-            recurse(new_uncovered, new_selection)
+        for index in choices:
+            cost = (cubes + 1, lits + literals[index])
+            if best_cost is not None and cost >= best_cost:
+                continue
+            selection.append(index)
+            recurse(uncovered & ~rows[index], *cost)
+            selection.pop()
 
-    recurse(list(remaining), set())
-    if best[0] is None:
+    recurse((1 << len(ranked)) - 1, 0, 0)
+    if best is None:
         raise LogicError("covering failed (unreachable for consistent input)")
-    return best[0]
+    return best
 
 
 def minimize_exact(

@@ -12,7 +12,7 @@ Three suites share this file:
   covers).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.partitions import kernel
@@ -296,24 +296,6 @@ def test_int_cube_ops_match_string_ops(n, data):
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
-def test_int_merge_matches_try_merge(n, data):
-    from repro.exceptions import LogicError
-
-    a = data.draw(string_cubes(n))
-    b = data.draw(string_cubes(n))
-    merged = C.int_merge_or_none(C.pack_cube(a), C.pack_cube(b))
-    try:
-        expected = C.try_merge(a, b)
-    except LogicError:
-        expected = None
-    if expected is None:
-        assert merged is None
-    else:
-        assert merged is not None
-        assert C.unpack_cube(*merged, n) == expected
-
-
-@given(st.integers(min_value=1, max_value=8), st.data())
 def test_int_supercube_matches_string_supercube(n, data):
     minterms = data.draw(
         st.lists(
@@ -327,13 +309,23 @@ def test_int_supercube_matches_string_supercube(n, data):
     assert C.unpack_cube(mask, value, n) == _supercube(strings, n)
 
 
+@given(st.integers(min_value=0, max_value=8), st.data())
+def test_cube_bitmap_matches_string_minterms(n, data):
+    cube = data.draw(string_cubes(n))
+    minterms = [C.pack_minterm(m) for m in C.cube_minterms(cube)]
+    bitmap = C.cube_bitmap(*C.pack_cube(cube), n)
+    assert bitmap == C.minterm_bitmap(minterms)
+    assert list(C.bitmap_minterms(bitmap)) == sorted(minterms)
+    assert bitmap & ~C.space_bitmap(n) == 0
+
+
 @st.composite
-def packed_functions(draw, max_inputs=5):
-    n = draw(st.integers(min_value=1, max_value=max_inputs))
+def packed_functions(draw, max_inputs=5, min_inputs=1):
+    n = draw(st.integers(min_value=min_inputs, max_value=max_inputs))
     kinds = [
         draw(st.sampled_from(["on", "off", "dc"])) for _ in range(2 ** n)
     ]
-    space = [format(v, f"0{n}b") for v in range(2 ** n)]
+    space = [C.unpack_minterm(v, n) for v in range(2 ** n)]
     on = [m for m, k in zip(space, kinds) if k == "on"]
     dc = [m for m, k in zip(space, kinds) if k == "dc"]
     return n, on, dc
@@ -347,6 +339,16 @@ def test_minimizers_identical_to_string_reference(data):
     assert minimize_heuristic(on, dc, n) == minimize_heuristic_reference(
         on, dc, n
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(packed_functions(max_inputs=8, min_inputs=0))
+@example((0, [], []))
+@example((6, [], []))
+def test_prime_implicants_identical_up_to_eight_inputs(data):
+    """Bitmap prime generation == the string tabulation, n = 0..8."""
+    n, on, dc = data
+    assert prime_implicants(on, dc, n) == prime_implicants_reference(on, dc, n)
 
 
 def test_zero_input_functions_identical():
