@@ -24,17 +24,21 @@ accounting ablations:
 * memoisation of node evaluations keyed by the join (different subsets can
   produce the same relation).
 
-Two engines traverse the same tree.  The default is the bitset-native
-engine: partitions live as block bitmasks (:class:`~repro.partitions.
-kernel.BitsetKernel`), ``m`` is maintained *incrementally* along DFS edges
-through the join-homomorphism ``m(pi v rho) = m(pi) v m(rho)`` (m is the
-smallest half of a pair algebra, hence a complete join-morphism), and
-``M`` is only computed on nodes that survive the Lemma-1 test -- if
-``m(pi) ∩ pi ⊄ epsilon`` then no candidate can exist at the node, because
-``M(pi) ∩ pi ⊆ epsilon`` together with ``m(pi) ⊆ M(pi)`` would force the
-m-side condition.  ``reference=True`` (or the legacy ``fast=False``) runs
-the seed's label-tuple interpreters operator by operator instead; both
-produce identical solutions and identical search statistics (asserted by
+Two engines traverse the same tree in the same preorder.  The default is
+the bitset-native engine: partitions live as the bitmasks of their
+nontrivial blocks (see :func:`sparse_join`), and ``m`` is maintained
+*incrementally* along DFS edges through the join-homomorphism
+``m(pi v rho) = m(pi) v m(rho)`` (m is the smallest half of a pair
+algebra, hence a complete join-morphism).  A node failing Lemma 1 gets no
+candidate work at all: ``M(pi) ∩ pi ⊆ epsilon`` together with
+``m(pi) ⊆ M(pi)`` would force the m-side condition.  Most such nodes are
+caught before their ``m`` join by a pre-test on the parent's ``m`` image
+and the new basis element's (both lie below ``m(pi)``); ``M`` is only
+computed on symmetric nodes; and a repeated subtree (same join, same next
+basis index) is replayed from a memo of its counts.  ``reference=True``
+(or the legacy ``fast=False``) runs the seed's label-tuple interpreters
+operator by operator instead; both produce identical solutions and
+identical search statistics, the ``node_limit`` cut included (asserted by
 the equivalence tests and the Table-1 golden-stats file), only the wall
 clock differs.
 
@@ -143,11 +147,12 @@ def search_ostr(
     returned and flagged (``result.exact == False``) -- this mirrors the
     ``tbk``/timeout row of Table 1.
 
-    The default engine is bitset-native (see the module docstring): block
-    bitmasks from :func:`~repro.partitions.kernel.bitset_kernel`, ``m``
-    carried incrementally along DFS edges, ``M`` only on unpruned nodes,
-    and memo caches keyed by the canonical mask tuples for both node
-    evaluations and the ``join(pi, basis[i])`` DFS edges.  Pass
+    The default engine is bitset-native (see the module docstring and
+    :func:`_run_bitset`): block bitmasks from :func:`~repro.partitions.
+    kernel.bitset_kernel`, ``m`` carried incrementally along DFS edges
+    behind a Lemma-1 pre-test, ``M`` only on symmetric nodes, and memos
+    for node evaluations, the ``join(pi, basis[i])`` DFS edges and whole
+    repeated subtrees.  Pass
     ``reference=True`` (or the legacy ``fast=False``) for the seed's
     label-tuple operator-by-operator oracle; solutions and every search
     statistic are identical across the engines, only the wall clock
@@ -272,157 +277,305 @@ def _run_reference(
     return best
 
 
+def sparse_join(base: Masks, constraints: Masks) -> Masks:
+    """Join a nontrivial-blocks partition with the blocks of another.
+
+    ``base`` holds only the nontrivial blocks of a partition (singletons
+    implied) and ``constraints`` the nontrivial blocks of the other
+    operand.  The current blocks stay pairwise disjoint, so a block meets
+    ``con`` united with the blocks it absorbs iff it meets ``con`` itself:
+    one scan over the current blocks per constraint merges everything it
+    touches, deleting the absorbed blocks as it goes.  The result is
+    sorted by int value, the search's private canonical order (the masks
+    are distinct and disjoint, so any fixed order is canonical;
+    :meth:`~repro.partitions.kernel.BitsetLattice.from_sparse` accepts
+    it).  A join that changes nothing returns ``base`` itself, so callers
+    detect a redundant edge with ``is``.
+    """
+    blocks = list(base)
+    changed = False
+    for con in constraints:
+        acc = con
+        i = len(blocks)
+        while i:
+            i -= 1
+            block = blocks[i]
+            if block & con:
+                if not con & ~block:
+                    break  # con lies inside one block: no-op
+                acc |= block
+                del blocks[i]
+        else:
+            blocks.append(acc)
+            changed = True
+    if not changed:
+        return base
+    blocks.sort()
+    return tuple(blocks)
+
+
+# Evaluation-cache entry shared by every join that fails Lemma 1 under
+# ``prune=True``: such a node has no candidate and is never expanded, so it
+# needs neither an ``m`` image nor a node id.
+_PRUNED = ((), (), -1, ())
+
+
+def _consider(candidates, best, states):
+    """Score one node's candidates against the incumbent.
+
+    Returns the new incumbent and how many candidates improved on it.
+    """
+    improvements = 0
+    for pi_labels, theta_labels in candidates:
+        candidate = OstrSolution(
+            pi=Partition(states, pi_labels),
+            theta=Partition(states, theta_labels),
+        )
+        if better(candidate, best):
+            best = candidate
+            improvements += 1
+    return best, improvements
+
+
 def _run_bitset(
     machine, succ, states, epsilon, basis, stats, best,
     prune, skip_redundant, node_limit, deadline, policy,
 ):
     """The bitset-native DFS: the production engine.
 
-    Same tree, same statistics as :func:`_run_reference`; the partition
-    algebra runs on block bitmasks in the *sparse* form (nontrivial
-    blocks only, singletons implied -- see the kernel module) with three
-    structural savings:
+    Same preorder, same statistics as :func:`_run_reference`, including
+    the cut at ``node_limit``.  Partitions live in the sparse form
+    (nontrivial blocks only, see :func:`sparse_join`) and four structural
+    savings apply:
 
     * ``m(pi)`` is carried down DFS edges as ``join(m(parent),
-      m(basis[i]))`` -- m is a join-morphism, so no node recomputes the
-      full successor-image closure;
-    * ``M(pi)`` is only computed on nodes that pass the Lemma-1 test
-      (``m(pi) ∩ pi ⊆ epsilon``): for a failing node ``meet(M(pi), pi) ⊆
-      epsilon`` would imply the m-side condition via ``m(pi) ⊆ M(pi)``,
-      so no candidate exists and the subtree is pruned without touching
-      ``M`` -- on the Table-1 machines ~99% of investigated nodes prune;
-    * a fully redundant DFS edge (``basis[i] <= pi``) returns the parent
-      object itself from the join, so the ``skip_redundant`` test is an
-      identity check instead of a join-and-compare.
+      m(basis[i]))`` -- m is a join-morphism.  Under ``prune`` the join is
+      skipped when a cheaper Lemma-1 pre-test already fails: ``m(parent)``
+      and ``m(basis[i])`` both lie below ``m(pi)``, so if either meets
+      ``pi`` outside ``epsilon`` then so does ``m(pi)``.  The parent
+      itself passed Lemma 1, so only block pairs involving a block the
+      edge merged are tested.  A node failing Lemma 1 has no candidate
+      (``M(pi) ∩ pi ⊆ epsilon`` with ``m(pi) ⊆ M(pi)`` would force the
+      m-side condition).
+    * ``M(pi)`` is only computed on symmetric nodes: ``m(pi) <= M(pi)``
+      iff ``(m(pi), pi)`` is a partition pair (Galois connection), which a
+      sparse-form pair test decides with an early exit.
+    * Children are walked in ascending index order straight from the
+      parent's frame; a pruned child is counted in place.  A redundant
+      edge (``basis[i] <= pi``) is the join returning the parent object
+      itself; ``skipped_redundant`` is counted as the walk passes it, and
+      at a cut the unwalked rest of every open frame is counted too, as
+      the reference counts a node's skips when it is investigated.
+    * The subtree below a node depends only on its join and its next basis
+      index, so each finished subtree's counts are memoised under
+      ``(node id, next index)`` and a repeat is replayed whole when it fits
+      the remaining node budget (otherwise it is walked, keeping the cut
+      exact).  A replay cannot improve the incumbent: every candidate in
+      it was already scored, and ``better`` is a strict ``<``.
     """
     kern = kernel.bitset_kernel(succ)
     n_basis = len(basis)
     basis_masks = [kern.from_labels(b) for b in basis]
-    basis_m = [kern.m(bm) for bm in basis_masks]
-    # The basis in sparse form: nontrivial blocks double as the join
-    # constraint tuples for the DFS edges.
-    basis_nt = [kern.nontrivial(masks) for masks in basis_masks]
-    basis_m_nt = [kern.nontrivial(masks) for masks in basis_m]
+    # Nontrivial blocks of each basis element and of its m image: the
+    # constraint tuples of the DFS edges and of the incremental m joins.
+    basis_nt = [kern.nontrivial(bm) for bm in basis_masks]
+    basis_m_nt = [kern.nontrivial(kern.m(bm)) for bm in basis_masks]
+    basis_union = [sum(blocks) for blocks in basis_nt]
+    m_union = [sum(blocks) for blocks in basis_m_nt]
     eps_owner = kern.arrays(kern.from_labels(epsilon))[1]
     from_sparse = kern.from_sparse
     to_labels = kern.to_labels
-    sparse_owner = kern.sparse_owner
-    join_sparse = kern.join_sparse
+    join = sparse_join
     extended = policy == "extended"
 
-    # Memo tables: node evaluations are keyed by the sparse mask tuple
-    # (one small-tuple hash per investigated node); each entry carries the
-    # node's m image (so expansion gets it for free on cache hits) and a
-    # dense node id, which keys the join(pi, basis[i]) DFS-edge memo as a
-    # single small int -- far cheaper to hash than the mask tuples.
-    evaluation_cache: Dict[Masks, Tuple[list, bool, Masks, int, Masks]] = {}
+    def escapes(a: Masks, b: Masks) -> bool:
+        """Is ``a ∩ b ⊄ epsilon``?  Only multi-element intersections can."""
+        for am in a:
+            for bm in b:
+                x = am & bm
+                if x & (x - 1) and x & ~eps_owner[(x & -x).bit_length() - 1]:
+                    return True
+        return False
+
+    image = kern.image
+    inputs = range(kern.n_inputs)
+
+    def is_pair(a: Masks, b: Masks) -> bool:
+        """Definition 4 on sparse forms: every image of an ``a`` block
+        lies in one ``b`` block (exits at the first that does not)."""
+        for am in a:
+            for i in inputs:
+                img = image(am, i)
+                if img & (img - 1):
+                    for bm in b:
+                        if bm & img:
+                            if img & ~bm:
+                                return False
+                            break
+                    else:
+                        return False
+        return True
+
+    def node_candidates(masks: Masks, mu: Masks) -> list:
+        """Candidates of a node that passes Lemma 1 (``m(pi) ∩ pi ⊆ eps``)."""
+        if not is_pair(mu, masks):  # m(pi) </= M(pi): Mm-pair not symmetric
+            return []
+        full = from_sparse(masks)
+        mu_full = from_sparse(mu)
+        big = kern.big_m(full)
+        labels = to_labels(full)
+        if kern.meet_refines_owner(big, full, eps_owner):
+            candidates = [(to_labels(big), labels)]
+        else:  # the m side is known to hold here
+            candidates = [(to_labels(mu_full), labels)]
+        if extended:
+            candidates.extend(
+                _extended_candidates(
+                    succ, to_labels(mu_full), to_labels(big), labels, epsilon
+                )
+            )
+        return candidates
+
+    # Node evaluations, keyed by the sparse join: (candidates, m image,
+    # dense node id, interned masks).  The node id keys the DFS-edge join
+    # memo and the subtree memo as one small int.
+    evaluation_cache: Dict[Masks, tuple] = {}
     join_cache: Dict[int, Masks] = {}
+    subtree_memo: Dict[int, Tuple[int, int, int, int]] = {}
     eval_get = evaluation_cache.get
     join_get = join_cache.get
+    memo_get = subtree_memo.get
 
-    investigated = 0
-    candidates_evaluated = 0
-    improvements = 0
+    def evaluate(masks: Masks, parent_mu: Masks, via: int) -> tuple:
+        """Evaluate a join first reached over edge ``via``."""
+        m_via = basis_m_nt[via]
+        if prune:
+            # The parent is expanded, so it passed Lemma 1: m(parent)
+            # meets every block the edge left alone inside epsilon, and
+            # only the blocks it merged (those meeting the edge's
+            # constraints) need testing -- likewise, after the join, only
+            # the m blocks the join merged.
+            fresh = [block for block in masks if block & basis_union[via]]
+            if escapes(parent_mu, fresh) or escapes(m_via, masks):
+                evaluation_cache[masks] = _PRUNED
+                return _PRUNED
+            mu = join(parent_mu, m_via)
+            if escapes([block for block in mu if block & m_union[via]], masks):
+                evaluation_cache[masks] = _PRUNED
+                return _PRUNED
+            candidates = node_candidates(masks, mu)
+        else:
+            mu = join(parent_mu, m_via)
+            candidates = [] if escapes(mu, masks) else node_candidates(masks, mu)
+        entry = (candidates, mu, len(evaluation_cache), masks)
+        evaluation_cache[masks] = entry
+        return entry
+
+    if deadline is not None and time.perf_counter() > deadline:
+        stats.timed_out = True
+        return best
+
+    # The root: the identity join, empty in sparse form, whose m image is
+    # the identity again; it never fails Lemma 1.
+    root: Masks = ()
+    root_mu: Masks = ()
+    candidates = node_candidates(root, root_mu)
+    evaluation_cache[root] = (candidates, root_mu, 0, root)
+    investigated = 1
+    candidates_evaluated = len(candidates)
+    best, improvements = _consider(candidates, best, states)
     pruned_subtrees = 0
     skipped_redundant = 0
     limit = float("inf") if node_limit is None else node_limit
 
-    root: Masks = ()  # sparse identity: no nontrivial blocks
-    stack: List[tuple] = [(root, None, 0, 0)]
-    push = stack.append
-    pop = stack.pop
+    # The open frame: the node being expanded, its iterator over the
+    # remaining child indices, its memo key and the counters at its start.
+    masks, mu, edge_base = root, root_mu, 0
+    children = iter(range(n_basis))
+    memo_key = 0
+    start = (1, 0, 0, candidates_evaluated)
+    suspended: List[tuple] = []
+    next_check = 128
+    halted = False
 
-    while stack:
-        if investigated >= limit:
-            stats.node_limit_hit = True
+    while True:
+        for index in children:
+            key = edge_base + index
+            child = join_get(key)
+            if child is None:
+                child = join(masks, basis_nt[index])
+                join_cache[key] = child
+            if child is masks and skip_redundant:
+                skipped_redundant += 1
+                continue
+            if investigated >= limit:
+                stats.node_limit_hit = True
+                halted = True
+                break
+            investigated += 1
+            entry = eval_get(child)
+            if entry is None:
+                entry = evaluate(child, mu, index)
+            if entry is _PRUNED:
+                pruned_subtrees += 1
+                continue
+            candidates, child_mu, child_id, child = entry
+            if candidates:
+                candidates_evaluated += len(candidates)
+                best, gained = _consider(candidates, best, states)
+                improvements += gained
+            next_index = index + 1
+            if next_index == n_basis:
+                continue  # a leaf: no larger basis index to add
+            child_key = child_id * n_basis + next_index
+            counts = memo_get(child_key)
+            if counts is not None and investigated + counts[0] <= limit:
+                investigated += counts[0]
+                pruned_subtrees += counts[1]
+                skipped_redundant += counts[2]
+                candidates_evaluated += counts[3]
+                continue
+            suspended.append((children, masks, mu, edge_base, memo_key, start))
+            masks, mu, edge_base = child, child_mu, child_id * n_basis
+            children = iter(range(next_index, n_basis))
+            memo_key = child_key
+            start = (
+                investigated, pruned_subtrees, skipped_redundant,
+                candidates_evaluated,
+            )
             break
-        if deadline is not None and not investigated & 127:
+        else:
+            subtree_memo[memo_key] = (
+                investigated - start[0],
+                pruned_subtrees - start[1],
+                skipped_redundant - start[2],
+                candidates_evaluated - start[3],
+            )
+            if not suspended:
+                break
+            children, masks, mu, edge_base, memo_key, start = suspended.pop()
+            continue
+        if halted:
+            break
+        if deadline is not None and investigated >= next_check:
+            next_check = investigated + 128
             if time.perf_counter() > deadline:
                 stats.timed_out = True
+                halted = True
                 break
-        masks, parent_mu, via_index, next_index = pop()
-        investigated += 1
 
-        entry = eval_get(masks)
-        if entry is None:
-            if parent_mu is None:  # root: m(identity) computed outright
-                mu = tuple(
-                    m for m in kern.m(from_sparse(masks)) if m & (m - 1)
-                )
-            else:  # incremental: m(pi v basis[i]) == m(pi) v m(basis[i])
-                mu = join_sparse(parent_mu, basis_m_nt[via_index])
-            # Lemma-1 test m(pi) ∩ pi ⊆ epsilon: in sparse form every
-            # block is nontrivial, and only multi-element intersections
-            # can escape an epsilon block.
-            m_side_ok = True
-            for am in mu:
-                for bm in masks:
-                    x = am & bm
-                    if x & (x - 1):
-                        if x & ~eps_owner[(x & -x).bit_length() - 1]:
-                            m_side_ok = False
-                            break
-                if not m_side_ok:
-                    break
-            if not m_side_ok:
-                # No candidate can exist here (see the docstring): prune
-                # without computing M at all.
-                entry = ((), True, mu, len(evaluation_cache), masks)
-            else:
-                full = from_sparse(masks)
-                mu_full = from_sparse(mu)
-                big = kern.big_m(full)
-                candidates: List[Tuple[Labels, Labels]] = []
-                if kern.refines(mu_full, big):  # symmetry of the Mm-pair
-                    labels = to_labels(full)
-                    if kern.meet_refines_owner(big, full, eps_owner):
-                        candidates.append((to_labels(big), labels))
-                    else:  # m side is known to hold here
-                        candidates.append((to_labels(mu_full), labels))
-                    if extended:
-                        candidates.extend(
-                            _extended_candidates(
-                                succ, to_labels(mu_full), to_labels(big),
-                                labels, epsilon,
-                            )
-                        )
-                entry = (candidates, False, mu, len(evaluation_cache), masks)
-            evaluation_cache[masks] = entry
-
-        # The interned masks object replaces the popped one: value-equal
-        # joins reached over different DFS paths are distinct tuples, and
-        # the ``child is masks`` redundancy test below needs the one
-        # object the join memo was built against.
-        candidates, prunable, mu, node_id, masks = entry
-        if candidates:
-            for pi_labels, theta_labels in candidates:
-                candidates_evaluated += 1
-                candidate = OstrSolution(
-                    pi=Partition(states, pi_labels),
-                    theta=Partition(states, theta_labels),
-                )
-                if better(candidate, best):
-                    best = candidate
-                    improvements += 1
-
-        if prune and prunable:
-            pruned_subtrees += 1
-            continue
-
-        if next_index < n_basis:
-            owner = sparse_owner(masks)
-            edge_base = node_id * n_basis
-            for child_index in range(n_basis - 1, next_index - 1, -1):
-                key = edge_base + child_index
-                child = join_get(key)
+    if halted and skip_redundant:
+        # The reference counts a node's redundant edges when it is
+        # investigated; count those the walk never reached in every open
+        # frame.
+        suspended.append((children, masks, mu, edge_base, memo_key, start))
+        for children, masks, _, edge_base, _, _ in suspended:
+            for index in children:
+                child = join_get(edge_base + index)
                 if child is None:
-                    child = join_sparse(masks, basis_nt[child_index], owner)
-                    join_cache[key] = child
-                if child is masks:  # basis[i] <= pi: redundant edge
-                    if skip_redundant:
-                        skipped_redundant += 1
-                        continue
-                push((child, mu, child_index, child_index + 1))
+                    child = join(masks, basis_nt[index])
+                if child is masks:
+                    skipped_redundant += 1
 
     stats.investigated += investigated
     stats.candidates_evaluated += candidates_evaluated

@@ -42,7 +42,7 @@ classes are immutable except for their internal memo caches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .unionfind import UnionFind
 
@@ -349,7 +349,6 @@ class BitsetLattice:
         "_arrays",
         "_masks_of",
         "_labels_of",
-        "_sparse_owners",
     )
 
     _CACHE_LIMIT = 1 << 17
@@ -362,7 +361,6 @@ class BitsetLattice:
         self._arrays: Dict[Masks, Tuple[List[int], List[int]]] = {}
         self._masks_of: Dict[Labels, Masks] = {}
         self._labels_of: Dict[Masks, Labels] = {}
-        self._sparse_owners: Dict[Masks, List[int]] = {}
 
     # -- conversions and cached structure views -----------------------------
 
@@ -418,11 +416,13 @@ class BitsetLattice:
     #
     # A partition is equally determined by its nontrivial blocks alone
     # (every uncovered element is a singleton).  The OSTR search runs on
-    # this form: deep search nodes have few nontrivial blocks, so joins
-    # assemble tuples of a handful of masks instead of ~n.
+    # this form with its own join (:func:`repro.ostr.search.sparse_join`):
+    # deep search nodes have few nontrivial blocks, so joins assemble
+    # tuples of a handful of masks instead of ~n.
 
     def from_sparse(self, sparse: Masks) -> Masks:
-        """Nontrivial-blocks form -> full canonical mask tuple."""
+        """Nontrivial-blocks form (blocks in any order) -> full canonical
+        mask tuple."""
         covered = 0
         for mask in sparse:
             covered |= mask
@@ -432,86 +432,6 @@ class BitsetLattice:
             low = rest & -rest
             out.append(low)
             rest ^= low
-        out.sort(key=_lowbit_key)
-        return tuple(out)
-
-    def sparse_owner(self, sparse: Masks) -> List[int]:
-        """Owner array of a nontrivial-blocks partition (cached)."""
-        owner = self._sparse_owners.get(sparse)
-        if owner is None:
-            if len(self._sparse_owners) >= self._CACHE_LIMIT:
-                self._sparse_owners.clear()
-            owner = [1 << i for i in range(self.n)]
-            for mask in sparse:
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    owner[low.bit_length() - 1] = mask
-                    rest ^= low
-            self._sparse_owners[sparse] = owner
-        return owner
-
-    @staticmethod
-    def _resolve_constraints(
-        owner: List[int], constraints: Sequence[int]
-    ) -> Optional[List[int]]:
-        """Resolve constraint masks through ``owner`` into merged masks.
-
-        The shared core of :meth:`join_constraints` and :meth:`join_sparse`:
-        each constraint visits one representative bit per distinct block
-        (the rest cleared with a single AND) and accumulates the union of
-        the blocks it touches; constraints already inside one block are
-        dropped, and overlapping accumulated masks are unioned.  Returns
-        ``None`` when every constraint was a no-op (the join is ``base``).
-        """
-        merged: Optional[List[int]] = None
-        for constraint in constraints:
-            rest = constraint
-            block = owner[(rest & -rest).bit_length() - 1]
-            acc = block
-            rest &= ~block
-            if not rest:
-                continue  # constraint already inside one block: no-op
-            while rest:
-                block = owner[(rest & -rest).bit_length() - 1]
-                acc |= block
-                rest &= ~block
-            if merged is None:
-                merged = [acc]
-                continue
-            for i in range(len(merged) - 1, -1, -1):
-                other = merged[i]
-                if other & acc:
-                    acc |= other
-                    del merged[i]
-            merged.append(acc)
-        return merged
-
-    def join_sparse(
-        self,
-        base: Masks,
-        constraints: Sequence[int],
-        owner: Optional[List[int]] = None,
-    ) -> Masks:
-        """:meth:`join_constraints` on the nontrivial-blocks representation.
-
-        Identical merge logic, but the assembly only walks the nontrivial
-        blocks: absorbed ones are dropped, each merged mask is inserted,
-        and the small result list is re-sorted into canonical lowest-bit
-        order.  A fully redundant call returns ``base`` itself.
-        """
-        if not constraints:
-            return base
-        if owner is None:
-            owner = self.sparse_owner(base)
-        merged = self._resolve_constraints(owner, constraints)
-        if merged is None:
-            return base
-        union = 0
-        for acc in merged:
-            union |= acc
-        out = [mask for mask in base if not mask & union]
-        out += merged
         out.sort(key=_lowbit_key)
         return tuple(out)
 
@@ -536,31 +456,40 @@ class BitsetLattice:
         out.sort(key=_lowbit_key)
         return tuple(out)
 
-    def join_constraints(
-        self,
-        base: Masks,
-        constraints: Sequence[int],
-        owner: Optional[List[int]] = None,
-    ) -> Masks:
+    def join_constraints(self, base: Masks, constraints: Sequence[int]) -> Masks:
         """Coarsen ``base`` until every constraint mask lies inside one block.
 
-        The workhorse behind :meth:`join` and :meth:`BitsetKernel.m`, and
-        the hot form for the search (which passes each basis element's
-        pre-extracted nontrivial blocks).  Each constraint's reach is
-        resolved through the owner array into one merged mask -- visiting
-        a single representative bit per distinct block, the rest cleared
-        with one AND -- overlapping merged masks are unioned, and the
-        result is assembled in canonical order by emitting each merged
-        mask in place of its lowest block.  Constraints already inside one
-        block are dropped on the fly, so a fully redundant call returns
-        ``base`` itself without rebuilding it.
+        The workhorse behind :meth:`join` and :meth:`BitsetKernel.m`.  Each
+        constraint's reach is resolved through the owner array into one
+        merged mask -- visiting a single representative bit per distinct
+        block, the rest cleared with one AND -- overlapping merged masks
+        are unioned, and the result is assembled in canonical order by
+        emitting each merged mask in place of its lowest block.
+        Constraints already inside one block are dropped on the fly, so a
+        fully redundant call returns ``base`` itself without rebuilding it.
         """
         if not constraints:
             return base
-        if owner is None:
-            owner = self.arrays(base)[1]
-        merged = self._resolve_constraints(owner, constraints)
-        if merged is None:
+        owner = self.arrays(base)[1]
+        merged: List[int] = []
+        for constraint in constraints:
+            rest = constraint
+            block = owner[(rest & -rest).bit_length() - 1]
+            acc = block
+            rest &= ~block
+            if not rest:
+                continue  # constraint already inside one block: no-op
+            while rest:
+                block = owner[(rest & -rest).bit_length() - 1]
+                acc |= block
+                rest &= ~block
+            for i in range(len(merged) - 1, -1, -1):
+                other = merged[i]
+                if other & acc:
+                    acc |= other
+                    del merged[i]
+            merged.append(acc)
+        if not merged:
             return base
         # Every base block is either disjoint from the merged region or a
         # subset of exactly one merged mask; emit each merged mask in

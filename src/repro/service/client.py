@@ -6,9 +6,10 @@ clients should not each reinvent:
 
 * **Transient-fault retries.**  Every request retries connection-level
   failures (refused, reset, EOF, timeout) with capped exponential
-  backoff.  Retrying ``POST /jobs`` is safe *because* the engine dedupes
-  on content identity: a resubmission whose first attempt actually landed
-  returns the same job instead of a duplicate campaign.
+  backoff, all within one per-call deadline of ``timeout`` seconds.
+  Retrying ``POST /jobs`` is safe *because* the engine dedupes on content
+  identity: a resubmission whose first attempt actually landed returns
+  the same job instead of a duplicate campaign.
 * **Batch + resume** (:meth:`run_batch`): jobs go up in
   admission-control-sized slices (backing off on 429), completions
   stream back, and a dropped stream -- including the server being killed
@@ -55,6 +56,8 @@ class ServiceError(ReproError):
 class ServiceClient:
     """One connection-per-request client for a running campaign service.
 
+    ``timeout`` is the deadline of each REST call as a whole, retries and
+    backoff included (:meth:`stream` uses it as its socket timeout).
     ``retries`` bounds per-request transient-failure retries (``0``
     disables them); ``backoff``/``backoff_cap`` shape every backoff loop
     in the client (request retries, 429 waits, reconnect polling).
@@ -102,9 +105,13 @@ class ServiceClient:
         """Sleep before retry ``attempt`` (0-based) of any client loop."""
         return capped_backoff(self.backoff, attempt, self.backoff_cap)
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(
+        self, timeout: Optional[float] = None
+    ) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host,
+            self.port,
+            timeout=self.timeout if timeout is None else timeout,
         )
 
     def _request(
@@ -114,14 +121,27 @@ class ServiceClient:
         payload=None,
         ok=(200, 202),
     ) -> Tuple[int, object]:
+        """One REST call, retries included, bounded by one deadline.
+
+        The whole call -- every attempt and every backoff pause -- ends
+        ``timeout`` seconds after it starts.  Each attempt's socket
+        timeout is the remaining budget, halved while retries remain so a
+        stalled attempt still leaves time to retry; retrying stops once
+        the budget or ``retries`` is spent.
+        """
         body = None
         headers = {}
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        deadline = time.monotonic() + self.timeout
         attempt = 0
         while True:
-            conn = self._connection()
+            # (floored: a backoff pause may overshoot the deadline a hair)
+            remaining = max(deadline - time.monotonic(), 0.001)
+            if attempt < self.retries:
+                remaining /= 2
+            conn = self._connection(remaining)
             try:
                 try:
                     conn.request(method, path, body=body, headers=headers)
@@ -132,13 +152,18 @@ class ServiceClient:
                     # restart.  Re-sending is safe for every route --
                     # GETs are pure, cancel and shutdown are idempotent,
                     # and POST /jobs dedupes on content identity.
-                    if attempt >= self.retries:
+                    pause = self._backoff(attempt)
+                    if (
+                        attempt >= self.retries
+                        or time.monotonic() + pause >= deadline
+                    ):
                         raise ServiceError(
                             f"campaign service at {self.host}:{self.port} "
-                            f"unreachable after {attempt + 1} attempts: {exc}"
+                            f"unreachable after {attempt + 1} attempts "
+                            f"within the {self.timeout}s call deadline: {exc}"
                         ) from exc
                     self.stats["retries"] += 1
-                    _sleep(self._backoff(attempt))
+                    _sleep(pause)
                     attempt += 1
                     continue
                 try:

@@ -15,6 +15,7 @@ Three suites share this file:
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.ostr.search import sparse_join
 from repro.partitions import kernel
 
 
@@ -212,11 +213,19 @@ def test_bitset_mm_operators_match_label_kernel(case):
 
 @given(kernel_cases())
 def test_join_sparse_matches_full_join(case):
+    """The search's sparse join == the bitset join; a no-op returns ``base``."""
     succ, (a, b, _) = case
     kern = kernel.BitsetKernel(succ)
     am, bm = kern.from_labels(a), kern.from_labels(b)
-    sparse = kern.join_sparse(kern.nontrivial(am), kern.nontrivial(bm))
+    base = tuple(sorted(kern.nontrivial(am)))
+    b_blocks = kern.nontrivial(bm)
+    sparse = sparse_join(base, b_blocks)
     assert kern.from_sparse(sparse) == kern.join(am, bm)
+    assert list(sparse) == sorted(sparse)  # the search's canonical order
+    # Joining with anything below ``base`` changes nothing, and the
+    # unchanged operand itself comes back (the search's redundancy test).
+    assert sparse_join(base, kern.nontrivial(kern.meet(am, bm))) is base
+    assert sparse_join(sparse, b_blocks) is sparse
 
 
 @given(kernel_cases())

@@ -281,6 +281,23 @@ class TestClientResilience:
         assert client.stats["retries"] == 2
         assert sleeps == [0.05, 0.1]  # capped exponential growth
 
+    def test_call_deadline_bounds_retries_on_silent_listener(self):
+        """A server that accepts but never answers costs one ``timeout``,
+        not ``timeout`` per attempt plus backoff."""
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(16)  # the kernel completes the handshakes
+            port = listener.getsockname()[1]
+            client = ServiceClient(
+                f"http://127.0.0.1:{port}", timeout=0.5, retries=4, backoff=0.01
+            )
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match=r"within the 0\.5s call deadline"):
+                client.health()
+            elapsed = time.monotonic() - start
+        assert 0.4 < elapsed < 1.0
+        assert client.stats["retries"] >= 1
+
     def test_run_batch_429_backoff_grows_exponentially(self, monkeypatch):
         from repro.exceptions import AdmissionError
 

@@ -93,8 +93,8 @@ def test_reference_engine_matches_golden_heavy():
 
 @pytest.mark.skipif(
     not os.environ.get("REPRO_GOLDEN_HEAVY"),
-    reason="exhausting dk16's full pruned tree (~5M nodes) takes about a "
-    "minute; set REPRO_GOLDEN_HEAVY=1 to run",
+    reason="exhausting dk16's full pruned tree (~5M nodes) takes about 20 "
+    "seconds; set REPRO_GOLDEN_HEAVY=1 to run",
 )
 def test_dk16_exhaustive_matches_golden(update_golden):
     """dk16 with the node limit retired: the full pruned tree, exactly.
