@@ -308,24 +308,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     shard_index, shard_count = 0, 1
     if args.shard:
-        try:
-            index_text, count_text = args.shard.split("/", 1)
-            shard_1based, shard_count = int(index_text), int(count_text)
-        except ValueError:
-            print(f"error: --shard wants I/N, got {args.shard!r}", file=sys.stderr)
+        parsed = _parse_shard(args.shard)
+        if parsed is None:
             return 2
-        # Range-check the user's 1-based input here, before it is
-        # converted to the library's 0-based convention -- otherwise
-        # "--shard 0/4" dies deep in the corpus with the baffling
-        # internal message "invalid shard -1/4".
-        if shard_count < 1 or not (1 <= shard_1based <= shard_count):
-            print(
-                f"error: --shard {args.shard} out of range: I/N needs "
-                f"1 <= I <= N (shards are numbered 1..N)",
-                file=sys.stderr,
-            )
-            return 2
-        shard_index = shard_1based - 1
+        shard_index, shard_count = parsed
     config = SweepConfig(
         families=tuple(args.families) if args.families else None,
         limit=args.limit,
@@ -387,13 +373,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{recovery['restored_failed']} failed / "
             f"{recovery['restored_cancelled']} cancelled restored, "
             f"{recovery['requeued']} requeued"
-            + (", torn tail dropped" if recovery["torn_tail"] else "")
-            + (
-                f", {recovery['checkpoints_removed']} stale checkpoint(s) "
-                "removed"
-                if recovery["checkpoints_removed"]
-                else ""
-            ),
+            + (", torn tail dropped" if recovery["torn_tail"] else ""),
             flush=True,
         )
     # SIGTERM (and a first ^C) drain gracefully: queued and running jobs
@@ -539,13 +519,24 @@ def _cmd_scoap(args: argparse.Namespace) -> int:
 
 
 def _parse_shard(text: str) -> Optional[tuple]:
-    """``I/N`` (1-based) -> 0-based ``(index, count)``; None when invalid."""
+    """``I/N`` (1-based) -> 0-based ``(index, count)``; None, after an
+    error on stderr, when invalid."""
     try:
         index_text, count_text = text.split("/", 1)
         shard_1based, shard_count = int(index_text), int(count_text)
     except ValueError:
+        print(f"error: --shard wants I/N, got {text!r}", file=sys.stderr)
         return None
+    # Range-check the user's 1-based input before it is converted to the
+    # library's 0-based convention -- otherwise "--shard 0/4" dies deep
+    # in the corpus with the baffling internal message "invalid shard
+    # -1/4".
     if shard_count < 1 or not (1 <= shard_1based <= shard_count):
+        print(
+            f"error: --shard {text} out of range: I/N needs "
+            f"1 <= I <= N (shards are numbered 1..N)",
+            file=sys.stderr,
+        )
         return None
     return shard_1based - 1, shard_count
 
@@ -554,7 +545,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
     from .analysis.structure import verify
-    from .analysis.untestable import prove_controller
+    from .analysis.untestable import count_verdicts, prove_controller
     from .bist import build_conventional_bist, build_pipeline
 
     if args.corpus:
@@ -564,11 +555,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.shard:
             parsed = _parse_shard(args.shard)
             if parsed is None:
-                print(
-                    f"error: --shard wants I/N with 1 <= I <= N, got "
-                    f"{args.shard!r}",
-                    file=sys.stderr,
-                )
                 return 2
             shard_index, shard_count = parsed
         members = corpus.members(
@@ -608,10 +594,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 totals[severity] += count
         verdicts = prove_controller(controller)
         proved = [v.to_dict() for v in verdicts if v.is_untestable]
-        by_verdict: dict = {}
-        for verdict in verdicts:
-            if verdict.is_untestable:
-                by_verdict[verdict.verdict] = by_verdict.get(verdict.verdict, 0) + 1
         proved_total += len(proved)
         targets.append(
             {
@@ -621,7 +603,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 "untestable": {
                     "universe": len(verdicts),
                     "proved": len(proved),
-                    "by_verdict": dict(sorted(by_verdict.items())),
+                    "by_verdict": count_verdicts(verdicts),
                     "faults": proved,
                 },
             }

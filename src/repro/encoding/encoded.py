@@ -87,10 +87,6 @@ class EncodedMachine:
     table: TruthTable  # inputs: state bits + input bits; outputs: next state + outputs
 
     @property
-    def state_bits(self) -> int:
-        return self.state_encoding.width
-
-    @property
     def flipflops(self) -> int:
         return self.state_encoding.width
 

@@ -10,15 +10,12 @@ uninterrupted run.  :class:`CampaignCheckpoint` is that prefix on disk:
 * the file is keyed by a SHA-256 digest of the pickled subject *and* the
   full campaign token (cycles, seed, dropping, session options, collapse
   mode, and a digest of the exact scheduled fault sequence), so a stale
-  checkpoint from a different campaign is ignored, never merged.  The
-  subject digest is the same SHA-256-of-pickle identity the
-  :class:`~repro.faults.pool.CampaignPool` subject cache and the campaign
-  service's job dedupe use (it was SHA-1 before the unification, so
-  checkpoints from older versions key differently and are treated as
-  "no checkpoint" -- the campaign restarts from scratch rather than
-  resuming from a mismatched snapshot);
-* codes are stored as a JSON array aligned with the schedule,
-  ``-1`` marking still-unresolved entries;
+  checkpoint from a different campaign is ignored, never merged;
+* the file holds one sealed record (:func:`repro.ledger.seal`): the codes
+  as a JSON array aligned with the schedule, ``-1`` marking
+  still-unresolved entries, under a SHA-256 over the whole body.  A
+  damaged, unsealed or pre-version snapshot is "no checkpoint": the
+  campaign restarts rather than resume from codes it cannot trust;
 * writes go through a temporary file + :func:`os.replace`, so a crash
   *during* checkpointing leaves the previous snapshot intact;
 * ``save`` is rate-limited by ``interval`` seconds (``flush=True``
@@ -37,9 +34,10 @@ import hashlib
 import json
 import os
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..exceptions import ReproError
+from ..ledger import canonical_json, seal, verify
 
 __all__ = ["CampaignCheckpoint", "campaign_key"]
 
@@ -47,13 +45,31 @@ __all__ = ["CampaignCheckpoint", "campaign_key"]
 #: shared-array initialisation).
 UNRESOLVED = -1
 
-_VERSION = 1
+#: 2 is the sealed format; version-1 snapshots were unsealed.
+_VERSION = 2
 
 
 def campaign_key(subject_digest: str, token) -> str:
     """Stable key of one campaign: subject digest + session token digest."""
-    text = repr((subject_digest, token)).encode("utf-8")
+    text = canonical_json([subject_digest, token]).encode("utf-8")
     return hashlib.sha256(text).hexdigest()
+
+
+def _read(path: str) -> Optional[Dict[str, object]]:
+    """The snapshot at ``path``, or ``None`` when it is missing,
+    unreadable, damaged, unsealed or of another version."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            record = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(record, dict)
+        or verify(record) is not None
+        or record.get("version") != _VERSION
+    ):
+        return None
+    return record
 
 
 class CampaignCheckpoint:
@@ -81,19 +97,14 @@ class CampaignCheckpoint:
     def load(self) -> Optional[List[int]]:
         """Completed codes of a previous run, or ``None`` to start fresh.
 
-        A missing, unreadable, or mismatched file (different campaign key
+        A missing, damaged or mismatched snapshot (different campaign key
         or schedule length -- e.g. the subject or the session parameters
         changed since the snapshot) is treated as "no checkpoint": the
         campaign starts from scratch and overwrites it.
         """
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
+        data = _read(self.path)
         if (
-            not isinstance(data, dict)
-            or data.get("version") != _VERSION
+            data is None
             or data.get("key") != self.key
             or data.get("total") != self.total
         ):
@@ -132,7 +143,7 @@ class CampaignCheckpoint:
         os.makedirs(directory, exist_ok=True)
         temp_path = f"{self.path}.tmp.{os.getpid()}"
         with open(temp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(seal(payload))
         os.replace(temp_path, self.path)
         self._last_save = now
         return True
@@ -152,11 +163,10 @@ class CampaignCheckpoint:
 
         Removes files that can never be resumed from: snapshots older
         than ``max_age`` seconds (their campaign is long gone), orphaned
-        ``.tmp.<pid>`` files a crash left mid-:meth:`save`, and
-        pre-version / pre-SHA-256 snapshots that no current campaign key
-        can match (unreadable JSON, wrong ``version``, or a ``key`` that
-        is not a 64-hex SHA-256 digest).  Recent, well-formed snapshots
-        are exactly the resumable ones and are kept.  Returns
+        ``.tmp.<pid>`` files a crash left mid-:meth:`save`, and snapshots
+        :meth:`load` would refuse whatever the key: damaged, unsealed or
+        pre-version ones.  Recent, sealed snapshots are exactly the
+        resumable ones and are kept.  Returns
         ``{"removed": [names], "kept": [names]}``, each sorted.
         """
         if max_age < 0:
@@ -184,21 +194,8 @@ class CampaignCheckpoint:
                     continue
                 if age > max_age:
                     reason = "stale"
-                else:
-                    try:
-                        with open(path, "r", encoding="utf-8") as handle:
-                            data = json.load(handle)
-                    except (OSError, ValueError):
-                        data = None
-                    key = data.get("key") if isinstance(data, dict) else None
-                    if (
-                        not isinstance(data, dict)
-                        or data.get("version") != _VERSION
-                        or not isinstance(key, str)
-                        or len(key) != 64
-                        or any(c not in "0123456789abcdef" for c in key)
-                    ):
-                        reason = "unresumable (pre-version or pre-sha256)"
+                elif _read(path) is None:
+                    reason = "unresumable (damaged, unsealed or pre-version)"
             if reason is None:
                 kept.append(name)
                 continue

@@ -160,7 +160,7 @@ from .coverage import (
     BlockFault,
     CoverageReport,
 )
-from .pool import CampaignPool
+from .pool import CampaignPool, subject_digest
 
 __all__ = [
     "LinearCompactor",
@@ -452,21 +452,18 @@ def _campaign_checkpoint(
     options,
     collapse: str,
     path: str,
-    interval: float,
 ) -> CampaignCheckpoint:
     """Checkpoint keyed by the subject and the *exact* campaign.
 
-    The subject digest is the SHA-256 of the pickled controller -- the
-    same content identity the :class:`~repro.faults.pool.CampaignPool`
-    subject cache and the campaign service's job dedupe key on, so one
-    digest scheme identifies a subject everywhere.  (It was SHA-1 before
-    the unification; checkpoints written by older versions therefore key
-    differently and are ignored as stale -- a safe failure mode, the
-    campaign just starts fresh.)
+    The subject digest is :func:`~repro.faults.pool.subject_digest` of
+    the pickled controller -- the same content identity the
+    :class:`~repro.faults.pool.CampaignPool` subject cache and the
+    campaign service's job dedupe key on, so one digest scheme
+    identifies a subject everywhere.
     """
-    subject_digest = hashlib.sha256(
+    digest = subject_digest(
         pickle.dumps(controller, protocol=pickle.HIGHEST_PROTOCOL)
-    ).hexdigest()
+    )
     schedule_digest = hashlib.sha256(
         "\n".join(repr(block_fault) for block_fault in schedule).encode("utf-8")
     ).hexdigest()
@@ -478,9 +475,7 @@ def _campaign_checkpoint(
         collapse,
         schedule_digest,
     )
-    return CampaignCheckpoint(
-        path, campaign_key(subject_digest, token), len(schedule), interval=interval
-    )
+    return CampaignCheckpoint(path, campaign_key(digest, token), len(schedule))
 
 
 def _failure_kind(error: ReproError) -> str:
@@ -506,7 +501,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     checkpoint: Optional[str] = None,
-    checkpoint_interval: float = 5.0,
     degrade: bool = False,
     **session_options,
 ) -> CoverageReport:
@@ -582,26 +576,21 @@ def run_campaign(
     prescreen_verdicts = None
     prescreen_stats: Optional[Dict[str, object]] = None
     if prescreen != "none":
-        from ..analysis.untestable import prove_controller
+        from ..analysis.untestable import count_verdicts, prove_controller
 
         # Verdicts are proved on the *scheduled* faults: with collapsing
         # active these are the class representatives, and equivalence
         # classes share verdicts by construction, so expanding the codes
         # below spreads each proof over its whole class.
         prescreen_verdicts = prove_controller(controller, faults=schedule)
-        by_verdict: Dict[str, int] = {}
-        for verdict in prescreen_verdicts:
-            if verdict.is_untestable:
-                by_verdict[verdict.verdict] = (
-                    by_verdict.get(verdict.verdict, 0) + 1
-                )
+        by_verdict = count_verdicts(prescreen_verdicts)
         prescreen_stats = {
             "mode": prescreen,
             "universe": len(universe),
             "scheduled": len(schedule),
             "proved": sum(by_verdict.values()),
             "skipped": 0,
-            "by_verdict": dict(sorted(by_verdict.items())),
+            "by_verdict": by_verdict,
             "reasons": {
                 f"{block}:{fault.describe()}": verdict.reason
                 for (block, fault), verdict in zip(
@@ -617,7 +606,7 @@ def run_campaign(
     if checkpoint is not None:
         ckpt = _campaign_checkpoint(
             controller, schedule, cycles, seed, dropping, options, collapse,
-            checkpoint, checkpoint_interval,
+            checkpoint,
         )
         loaded = ckpt.load()
         if loaded is not None:

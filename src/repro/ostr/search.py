@@ -36,11 +36,10 @@ caught before their ``m`` join by a pre-test on the parent's ``m`` image
 and the new basis element's (both lie below ``m(pi)``); ``M`` is only
 computed on symmetric nodes; and a repeated subtree (same join, same next
 basis index) is replayed from a memo of its counts.  ``reference=True``
-(or the legacy ``fast=False``) runs the seed's label-tuple interpreters
-operator by operator instead; both produce identical solutions and
-identical search statistics, the ``node_limit`` cut included (asserted by
-the equivalence tests and the Table-1 golden-stats file), only the wall
-clock differs.
+runs the seed's label-tuple interpreters operator by operator instead;
+both produce identical solutions and identical search statistics, the
+``node_limit`` cut included (asserted by the equivalence tests and the
+Table-1 golden-stats file), only the wall clock differs.
 
 An optional ``policy="extended"`` additionally coarsens the m-side first
 factor greedily towards ``M(pi)`` while the intersection condition holds;
@@ -88,10 +87,6 @@ class SearchStats:
         """Did the search cover the whole (pruned) tree?"""
         return not (self.timed_out or self.node_limit_hit)
 
-    @property
-    def tree_size_log2(self) -> int:
-        return self.basis_size
-
 
 @dataclass
 class OstrResult:
@@ -135,7 +130,6 @@ def search_ostr(
     time_limit: Optional[float] = None,
     policy: str = "paper",
     basis_order: str = "sorted",
-    fast: bool = True,
     reference: bool = False,
 ) -> OstrResult:
     """Solve OSTR for ``machine`` with the paper's depth-first procedure.
@@ -152,8 +146,7 @@ def search_ostr(
     kernel.bitset_kernel`, ``m`` carried incrementally along DFS edges
     behind a Lemma-1 pre-test, ``M`` only on symmetric nodes, and memos
     for node evaluations, the ``join(pi, basis[i])`` DFS edges and whole
-    repeated subtrees.  Pass
-    ``reference=True`` (or the legacy ``fast=False``) for the seed's
+    repeated subtrees.  Pass ``reference=True`` for the seed's
     label-tuple operator-by-operator oracle; solutions and every search
     statistic are identical across the engines, only the wall clock
     differs.
@@ -182,7 +175,7 @@ def search_ostr(
 
     start_time = time.perf_counter()
     deadline = None if time_limit is None else start_time + time_limit
-    if reference or not fast:
+    if reference:
         best = _run_reference(
             machine, succ, states, epsilon, basis, stats, best,
             prune, skip_redundant, node_limit, deadline, policy,

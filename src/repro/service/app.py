@@ -252,7 +252,6 @@ class CampaignServer:
         journal_dir: Optional[str] = None,
         fsync: str = "always",
         fsync_interval: float = 1.0,
-        checkpoint_max_age: float = 7 * 86400.0,
         chaos=None,
     ) -> None:
         self.engine = JobEngine(
@@ -263,7 +262,6 @@ class CampaignServer:
             journal_dir=journal_dir,
             fsync=fsync,
             fsync_interval=fsync_interval,
-            checkpoint_max_age=checkpoint_max_age,
             chaos=chaos,
         )
         try:

@@ -1,9 +1,8 @@
 """The campaign job engine: priority scheduling over sharded pools.
 
 :class:`JobEngine` turns the library's synthesis→BIST-campaign unit of
-work (:func:`repro.suite.sweep.sweep_member`) into a long-running,
-multi-tenant batch facility -- the "millions of users" shape of the
-ROADMAP, where clients submit jobs to a shared service instead of each
+work (:func:`repro.suite.sweep.sweep_member`) into a long-running batch
+facility: clients submit jobs to a shared service instead of each
 linking the library and owning one in-process pool:
 
 * **Priority queue with admission control.**  Jobs carry an integer
@@ -21,8 +20,8 @@ linking the library and owning one in-process pool:
   the shard count.
 * **SHA-256 content dedupe.**  A job's identity is the SHA-256 over its
   canonical payload (the subject's content hash -- the same
-  SHA-256-of-content scheme as the corpus ledger, the pool subject cache
-  and the checkpoint keys -- plus the deterministic config fields).
+  SHA-256-of-content scheme as the corpus ledger and the pool subject
+  cache -- plus the deterministic config fields).
   Submitting a job whose identity matches a queued, running or completed
   job returns *that* job instead of recomputing ("dedupe hits"
   telemetry); failed and cancelled jobs are not reused.
@@ -39,11 +38,10 @@ linking the library and owning one in-process pool:
   *before* the in-memory state reflects it.  A restarted engine replays
   the journal -- completed results and the dedupe table come back
   verbatim, jobs that were queued or running when the process died are
-  requeued (their campaigns resume from per-job
-  :class:`~repro.faults.checkpoint.CampaignCheckpoint` snapshots under
-  ``<journal_dir>/checkpoints/``, which startup also garbage-collects)
-  -- so a ``kill -9`` mid-sweep loses no admitted job and double-reports
-  none.
+  requeued and rerun (a job's record is deterministic) -- so a ``kill
+  -9`` mid-sweep loses no admitted job and double-reports none.  The
+  journal is the service's only durability mechanism: campaigns write no
+  checkpoint files.
 
 Everything here is deterministic where it matters: the *record* a job
 produces is a pure function of its member and config (see
@@ -229,7 +227,6 @@ class JobEngine:
         journal_dir: Optional[str] = None,
         fsync: str = "always",
         fsync_interval: float = 1.0,
-        checkpoint_max_age: float = 7 * 86400.0,
         chaos=None,
     ) -> None:
         if shards < 1:
@@ -274,10 +271,9 @@ class JobEngine:
             chaos, scope="service", worker_index=0,
             generation=service_generation(),
         )
-        # Durability: checkpoint GC, then journal replay, both before the
-        # shard threads can observe (or race) any restored state.
+        # Durability: journal replay before the shard threads can observe
+        # (or race) any restored state.
         self.journal: Optional[JobJournal] = None
-        self._checkpoint_dir: Optional[str] = None
         self.recovery: Dict[str, object] = {
             "replayed_records": 0,
             "restored_done": 0,
@@ -285,17 +281,9 @@ class JobEngine:
             "restored_cancelled": 0,
             "requeued": 0,
             "torn_tail": False,
-            "checkpoints_removed": 0,
         }
         if journal_dir is not None:
-            from ..faults.checkpoint import CampaignCheckpoint
-
             os.makedirs(journal_dir, exist_ok=True)
-            self._checkpoint_dir = os.path.join(journal_dir, "checkpoints")
-            swept = CampaignCheckpoint.gc(
-                self._checkpoint_dir, max_age=checkpoint_max_age
-            )
-            self.recovery["checkpoints_removed"] = len(swept["removed"])
             self.journal = JobJournal(
                 os.path.join(journal_dir, "journal.jsonl"),
                 fsync=fsync,
@@ -433,7 +421,7 @@ class JobEngine:
                 # write-ahead ordering makes indistinguishable from "not
                 # finished": requeue with the original seq so FIFO within
                 # a priority survives the restart.  An interrupted
-                # campaign resumes from its checkpoint snapshot.
+                # campaign reruns from scratch.
                 job.state = QUEUED
                 job.started_unix = None
                 heapq.heappush(
@@ -686,12 +674,7 @@ class JobEngine:
             record = None
             error = None
             try:
-                extra: Dict[str, object] = {}
-                if self._checkpoint_dir is not None:
-                    extra["checkpoint"] = os.path.join(
-                        self._checkpoint_dir, f"{job.key}.ckpt"
-                    )
-                record = sweep_member(job.member, job.config, pool, **extra)
+                record = sweep_member(job.member, job.config, pool)
             # A failed job must transition to FAILED with its traceback
             # attached, never take the shard's executor thread down --
             # capturing everything here *is* the error path.
@@ -715,7 +698,7 @@ class JobEngine:
             # Write-ahead: the terminal outcome hits the journal before
             # any client can observe it, so a crash after this point
             # cannot double-run the job, and a crash before it requeues
-            # cleanly (the campaign resumes from its checkpoint).
+            # cleanly (the rerun is deterministic).
             self._journal_append(
                 "result",
                 {

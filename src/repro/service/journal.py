@@ -15,9 +15,10 @@ One JSON object per line::
 
     {"data": {...}, "kind": "submit|state|result", "seq": N, "sha256": H, "v": 1}
 
-``sha256`` is the hex digest over the canonical serialisation (sorted
-keys, compact separators) of the record *without* the ``sha256`` field;
-``seq`` is a strictly increasing append counter.  Appends are a single
+Each line is a sealed record (:func:`repro.ledger.seal`): ``sha256`` is
+the hex digest over the canonical serialisation (sorted keys, compact
+separators) of the record *without* the ``sha256`` field; ``seq`` is a
+strictly increasing append counter.  Appends are a single
 ``write()`` of the full line followed by a flush, with the fsync policy
 deciding when the bytes are forced to the platter:
 
@@ -57,7 +58,6 @@ jobs that were queued or running when the process died are requeued.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import JournalCorrupt, ReproError
-from ..ledger import canonical_json
+from ..ledger import seal, seal_digest, verify
 
 __all__ = ["JobJournal", "JournalRecord", "JournalReplay", "record_digest"]
 
@@ -82,8 +82,7 @@ FSYNC_POLICIES = ("always", "interval", "never")
 def record_digest(seq: int, kind: str, data: Dict[str, object]) -> str:
     """The per-record integrity hash: SHA-256 over the canonical record
     body (everything but the ``sha256`` field itself)."""
-    body = canonical_json({"data": data, "kind": kind, "seq": seq, "v": _VERSION})
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return seal_digest({"data": data, "kind": kind, "seq": seq, "v": _VERSION})
 
 
 @dataclass(frozen=True)
@@ -230,17 +229,13 @@ class JobJournal:
         kind = payload.get("kind")
         seq = payload.get("seq")
         data = payload.get("data")
-        claimed = payload.get("sha256")
         if kind not in KINDS or not isinstance(data, dict):
             return None, f"malformed record of kind {kind!r}"
         if not isinstance(seq, int) or seq != expected_seq:
             return None, f"sequence gap: expected {expected_seq}, got {seq!r}"
-        actual = record_digest(seq, kind, data)
-        if claimed != actual:
-            return None, (
-                f"sha256 mismatch: record claims {str(claimed)[:12]}..., "
-                f"bytes hash to {actual[:12]}..."
-            )
+        mismatch = verify(payload)
+        if mismatch is not None:
+            return None, mismatch
         return JournalRecord(seq=seq, kind=kind, data=data), None
 
     def _quarantine(self) -> str:
@@ -278,14 +273,8 @@ class JobJournal:
                 self._handle = open(self.path, "ab")
             seq = self._seq
             self._seq += 1
-            payload = {
-                "data": data,
-                "kind": kind,
-                "seq": seq,
-                "sha256": record_digest(seq, kind, data),
-                "v": _VERSION,
-            }
-            line = (canonical_json(payload) + "\n").encode("utf-8")
+            body = {"data": data, "kind": kind, "seq": seq, "v": _VERSION}
+            line = (seal(body) + "\n").encode("utf-8")
             self._handle.write(line)
             self._handle.flush()
             self._maybe_fsync()

@@ -181,7 +181,7 @@ def _static_block(controller) -> Dict[str, object]:
     ledger and reproduces bit-identically from a manifest's seeds.
     """
     from ..analysis.structure import verify
-    from ..analysis.untestable import prove_controller
+    from ..analysis.untestable import count_verdicts, prove_controller
 
     blocks: Dict[str, object] = {}
     for block, netlist in sorted(
@@ -195,23 +195,18 @@ def _static_block(controller) -> Dict[str, object]:
             "by_code": report.by_code(),
         }
     verdicts = prove_controller(controller)
-    by_verdict: Dict[str, int] = {}
-    for verdict in verdicts:
-        if verdict.is_untestable:
-            by_verdict[verdict.verdict] = by_verdict.get(verdict.verdict, 0) + 1
+    by_verdict = count_verdicts(verdicts)
     return {
         "structure": blocks,
         "untestable": {
             "universe": len(verdicts),
             "proved": sum(by_verdict.values()),
-            "by_verdict": dict(sorted(by_verdict.items())),
+            "by_verdict": by_verdict,
         },
     }
 
 
-def sweep_member(
-    member, config: SweepConfig, pool=None, checkpoint: Optional[str] = None
-) -> Dict[str, object]:
+def sweep_member(member, config: SweepConfig, pool=None) -> Dict[str, object]:
     """Synthesis→BIST campaign on one corpus member; one metrics record.
 
     This is the unit of work shared by the in-process sweep loop and the
@@ -222,11 +217,6 @@ def sweep_member(
     config fields, never of who ran the campaign.  ``member`` is anything
     with the :class:`~repro.suite.corpus.CorpusMember` duck surface
     (``member_id``/``family``/``name``/``kind``/``build()``/``sha256()``).
-    ``checkpoint`` names a crash-safe campaign snapshot file (see
-    :class:`~repro.faults.checkpoint.CampaignCheckpoint`): like the
-    wall-clock knobs it cannot change the record -- resume is
-    bit-identical -- it only lets an interrupted campaign avoid
-    recomputing finished fault outcomes.
     """
     from ..bist import build_conventional_bist, build_pipeline
     from ..faults import measure_coverage
@@ -281,7 +271,6 @@ def sweep_member(
                 pool=pool,
                 collapse=config.collapse,
                 prescreen=config.prescreen,
-                checkpoint=checkpoint,
             )
             wall["coverage_s"] = round(time.perf_counter() - start, 4)
             record["coverage"] = {

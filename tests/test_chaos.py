@@ -251,6 +251,27 @@ class TestCheckpointResume:
         assert resilience["resumed"] == snapshot["completed"]
         assert not os.path.exists(path)  # cleared on success
 
+    def test_damaged_checkpoint_is_not_resumed(self, tmp_path, monkeypatch):
+        from repro import suite
+        from repro.bist import build_pipeline
+        from repro.ostr import search_ostr
+
+        pipeline = build_pipeline(search_ostr(suite.load("dk27")).realization())
+        oracle = measure_coverage(pipeline)
+        path = tmp_path / "dk27.ckpt"
+        # Keep the snapshot the campaign would clear on success.
+        monkeypatch.setattr(CampaignCheckpoint, "clear", lambda self: None)
+        measure_coverage(pipeline, checkpoint=str(path))
+        monkeypatch.undo()
+        # One resolved "detected" code flipped to "missed": still valid
+        # JSON, same key and length, but no longer the campaign's truth.
+        snapshot = json.loads(path.read_text())
+        snapshot["codes"][snapshot["codes"].index(1)] = 0
+        path.write_text(json.dumps(snapshot))
+        report = measure_coverage(pipeline, checkpoint=str(path))
+        assert report == oracle
+        assert CAMPAIGN_STATS["resilience"]["resumed"] == 0
+
     def test_serial_checkpoint_cleared_on_success(self, controller, oracle, tmp_path):
         path = str(tmp_path / "serial.ckpt")
         report = measure_coverage(

@@ -314,19 +314,16 @@ class TestCoveragePrescreen:
 
 class TestCheckpointGc:
     def test_sweeps_stale_and_orphaned_snapshots(self, capsys, tmp_path):
-        import json
         import os
         import time
+
+        from repro.faults.checkpoint import CampaignCheckpoint
 
         directory = tmp_path / "checkpoints"
         directory.mkdir()
         key = "ab" * 32
         keep = directory / f"{key}.ckpt"
-        keep.write_text(
-            json.dumps(
-                {"version": 1, "key": key, "total": 2, "codes": [1, -1]}
-            )
-        )
+        CampaignCheckpoint(str(keep), key, total=2).save([1, -1])
         stale = directory / ("cd" * 32 + ".ckpt")
         stale.write_text(keep.read_text())
         old = time.time() - 10 * 86400

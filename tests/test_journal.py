@@ -224,3 +224,42 @@ class TestRecordDigest:
         assert a == b
         assert a != record_digest(1, "submit", {"a": 2, "b": 1})
         assert a != record_digest(0, "result", {"a": 2, "b": 1})
+
+
+#: Three appends as journal lines, byte for byte: the sealed-record
+#: framing (canonical JSON body plus its SHA-256) must never drift, or
+#: journals written by earlier versions stop replaying.
+PINNED_DATA = [
+    ("submit", {"job": "j000000", "coverage": 0.123456789}),
+    ("state", {"job": "j000000", "state": "running", "unix": 1.5}),
+    ("result", {"job": "j000000", "record": {"name": "sr2", "status": "ok"}}),
+]
+PINNED_LINES = (
+    b'{"data":{"coverage":0.123456789,"job":"j000000"},"kind":"submit",'
+    b'"seq":0,"sha256":"d8cebd42cbc9d1e2bf9546ded608c72d052201224da7de77'
+    b'8517a16ad4ee6db3","v":1}\n'
+    b'{"data":{"job":"j000000","state":"running","unix":1.5},"kind":"state",'
+    b'"seq":1,"sha256":"9cc5fc08f2f1fb131d832b632df85fba83b8899056959efa4b'
+    b'95c6793bb614b1","v":1}\n'
+    b'{"data":{"job":"j000000","record":{"name":"sr2","status":"ok"}},'
+    b'"kind":"result","seq":2,"sha256":"b46500d1ef7887f8ec844e8efdf50b11e0'
+    b'3a6a6b0d1026cd20c9c96475618689","v":1}\n'
+)
+
+
+class TestWireFormat:
+    def test_appends_write_the_pinned_bytes(self, tmp_path):
+        with make_journal(tmp_path, fsync="never") as journal:
+            for kind, data in PINNED_DATA:
+                journal.append(kind, data)
+        assert (tmp_path / "journal.jsonl").read_bytes() == PINNED_LINES
+
+    def test_pinned_journal_replays_and_extends(self, tmp_path):
+        (tmp_path / "journal.jsonl").write_bytes(PINNED_LINES)
+        journal = make_journal(tmp_path, fsync="never")
+        replay = journal.replay()
+        assert not replay.torn_tail
+        assert [(r.kind, r.data) for r in replay.records] == PINNED_DATA
+        assert journal.append("state", {"n": 3}) == 3
+        journal.close()
+        assert len(make_journal(tmp_path).replay().records) == 4

@@ -5,8 +5,7 @@ partitions, incremental ``m`` along DFS edges behind a Lemma-1 pre-test,
 ``M`` only on symmetric nodes, replayed subtrees); the paper-accounting
 contract is that solutions *and* every search statistic -- the
 ``node_limit`` cut included -- stay identical to the label-tuple
-reference traversal (``reference=True``, or the legacy ``fast=False``
-spelling).
+reference traversal (``reference=True``).
 """
 
 import dataclasses
@@ -67,17 +66,6 @@ def _assert_same_search(machine, **kwargs):
     assert repr(fast.solution.pi) == repr(reference.solution.pi)
     assert repr(fast.solution.theta) == repr(reference.solution.theta)
     assert fast.solution.flipflops == reference.solution.flipflops
-
-
-def test_legacy_fast_false_is_the_reference_engine():
-    from repro import suite
-
-    machine = suite.load("dk27")
-    legacy = search_ostr(machine, fast=False)
-    reference = search_ostr(machine, reference=True)
-    assert repr(legacy.solution.pi) == repr(reference.solution.pi)
-    assert legacy.stats.investigated == reference.stats.investigated
-    assert legacy.stats.unique_joins == reference.stats.unique_joins
 
 
 def test_fast_search_identical_on_suite_machines():

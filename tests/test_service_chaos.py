@@ -58,8 +58,7 @@ class _Stub:
     ``behave["block"]`` parks the next call on ``release`` (signalling
     ``entered``) -- the knob recovery tests use to freeze a job
     mid-flight, "crash" the engine around it, and later unstick the
-    abandoned thread harmlessly.  Every call records the member name and
-    the ``checkpoint=`` kwarg it received.
+    abandoned thread harmlessly.  Every call records the member name.
     """
 
     def __init__(self):
@@ -67,11 +66,9 @@ class _Stub:
         self.release = threading.Event()
         self.behave = {"block": False}
         self.order = []
-        self.checkpoints = []
 
-    def __call__(self, member, config, pool=None, checkpoint=None):
+    def __call__(self, member, config, pool=None):
         self.order.append(member.name)
-        self.checkpoints.append(checkpoint)
         if self.behave["block"]:
             self.behave["block"] = False
             self.entered.set()
@@ -210,20 +207,15 @@ class TestEngineRecovery:
         ) as healed:
             assert healed.recovery["replayed_records"] == 0
 
-    def test_checkpoint_path_passed_only_with_journal(self, tmp_path, stub):
-        with JobEngine(shards=1, pool_workers=0) as plain:
-            job, _ = plain.submit(payload(2))
-            plain.wait(job.job_id, timeout=30.0)
-        assert stub.checkpoints == [None]
-        journal_dir = str(tmp_path / "svc")
+
+    def test_journal_is_the_only_durable_state(self, tmp_path):
+        journal_dir = tmp_path / "svc"
         with JobEngine(
-            shards=1, pool_workers=0, journal_dir=journal_dir
-        ) as journaled:
-            job, _ = journaled.submit(payload(2))
-            journaled.wait(job.job_id, timeout=30.0)
-        assert stub.checkpoints[1] == os.path.join(
-            journal_dir, "checkpoints", f"{job.key}.ckpt"
-        )
+            shards=1, pool_workers=0, journal_dir=str(journal_dir)
+        ) as engine:
+            job, _ = engine.submit(payload(2))
+            assert engine.wait(job.job_id, timeout=60.0).state == "done"
+        assert sorted(os.listdir(journal_dir)) == ["journal.jsonl"]
 
 
 class TestChaosHooks:
@@ -375,14 +367,9 @@ class TestCheckpointGc:
         directory.mkdir()
         good_key = "ab" * 32
         good = directory / f"{good_key}.ckpt"
-        good.write_text(
-            '{"version": 1, "key": "%s", "total": 1, "codes": [1]}' % good_key
-        )
+        CampaignCheckpoint(str(good), good_key, total=1).save([1])
         stale = directory / ("cd" * 32 + ".ckpt")
-        stale.write_text(
-            '{"version": 1, "key": "%s", "total": 1, "codes": [1]}'
-            % ("cd" * 32)
-        )
+        CampaignCheckpoint(str(stale), "cd" * 32, total=1).save([1])
         os.utime(stale, (time.time() - 10 * 86400, time.time() - 10 * 86400))
         orphan = directory / "whatever.ckpt.tmp.1234"
         orphan.write_text("half a snapshot")
@@ -392,10 +379,12 @@ class TestCheckpointGc:
         presha.write_text(
             '{"version": 1, "key": "abc123", "total": 1, "codes": [1]}'
         )
+        damaged = directory / ("ef" * 32 + ".ckpt")
+        damaged.write_text(good.read_text().replace('"codes":[1]', '"codes":[0]'))
         swept = CampaignCheckpoint.gc(str(directory), max_age=86400.0)
         assert swept["kept"] == [good.name]
         assert sorted(swept["removed"]) == sorted(
-            [stale.name, orphan.name, broken.name, presha.name]
+            [stale.name, orphan.name, broken.name, presha.name, damaged.name]
         )
         assert good.exists() and not stale.exists()
 
